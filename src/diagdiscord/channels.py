@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     InvalidChannel,
     InvalidDistribution,
+    NotDensityMatrix,
     NotPositiveSemidefinite,
     OutOfRange,
     ParseError,
@@ -30,9 +31,9 @@ from .states import (
     _parse_matrix_rows,
     ptrace_a,
     ptrace_b,
-    sample_random_bipartite,
+    sample_nondegenerate,
 )
-from .discord import dephase_a
+from .discord import dephase_a, in_a_basis
 
 UNITARITY_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
@@ -57,24 +58,19 @@ def _check_unitary(u: np.ndarray, what: str) -> np.ndarray:
     return u
 
 
-def basis_transpose(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Transpose of rho taken with respect to the given orthonormal basis."""
-    return basis @ (basis.conj().T @ rho @ basis).T @ basis.conj().T
-
-
 def partial_transpose_a(rho: np.ndarray, d_a: int, d_b: int, basis: np.ndarray) -> np.ndarray:
     """Transpose the A indices of rho_AB in the given A-basis."""
-    rot = np.kron(basis.conj().T, np.eye(d_b))
-    t = (rot @ rho @ rot.conj().T).reshape(d_a, d_b, d_a, d_b)
-    t = t.transpose(2, 1, 0, 3).reshape(d_a * d_b, d_a * d_b)
-    rot_back = np.kron(basis, np.eye(d_b))
-    return rot_back @ t @ rot_back.conj().T
+    return in_a_basis(rho, d_a, d_b, basis, lambda t: t.transpose(2, 1, 0, 3))
 
 
-def dephase_in_basis(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Complete dephasing sum_i |b_i><b_i| rho |b_i><b_i|."""
-    coeffs = np.real(np.einsum("ij,jk,ki->i", basis.conj().T, rho, basis))
-    return (basis * coeffs) @ basis.conj().T
+def _kraus_lift(ops, rho: np.ndarray, d_b: int) -> np.ndarray:
+    """sum_k (K_k (x) I) rho (K_k (x) I)^dag."""
+    eye_b = np.eye(d_b)
+    out = np.zeros_like(rho)
+    for k in ops:
+        lift = np.kron(k, eye_b)
+        out += lift @ rho @ lift.conj().T
+    return out
 
 
 class QuantumChannel:
@@ -89,22 +85,14 @@ class QuantumChannel:
         """Kraus operators, or None when the map is not completely positive."""
         raise NotImplementedError
 
+    def lift_a(self, rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+        """(channel (x) identity)(rho); Kraus form unless a class overrides it."""
+        return _kraus_lift(self.kraus_ops(), rho, d_b)
+
     def apply_local_a(self, state: BipartiteState) -> BipartiteState:
         """Act with (channel (x) identity) on a bipartite state."""
-        if state.dim_a != self.dim:
-            raise DimensionMismatch(
-                f"channel dimension {self.dim} != d_A = {state.dim_a}"
-            )
         out = apply_local_a_raw(self, state.rho, state.dim_a, state.dim_b)
-        out = (out + out.conj().T) / 2.0
-        if isinstance(self, IsotropicChannel) and self.antiunitary:
-            low = float(np.linalg.eigvalsh(out)[0])
-            if low < -1e-10:
-                raise NotPositiveSemidefinite(
-                    f"antiunitary lift produced eigenvalue {low:.3e} < 0; the "
-                    "channel is not completely positive at this gamma"
-                )
-        return BipartiteState(out, state.dim_a, state.dim_b)
+        return BipartiteState((out + out.conj().T) / 2.0, state.dim_a, state.dim_b)
 
     def tag(self) -> str:
         raise NotImplementedError
@@ -225,9 +213,34 @@ class IsotropicChannel(QuantumChannel):
         _check_dim(rho, self.dim)
         d = self.dim
         u = self.w_unitary
-        core = basis_transpose(rho, self.transpose_basis) if self.antiunitary else rho
+        core = (
+            partial_transpose_a(rho, d, 1, self.transpose_basis)
+            if self.antiunitary
+            else rho
+        )
         out = (1.0 - self.gamma) * (u @ core @ u.conj().T)
         return out + self.gamma * np.trace(rho) * np.eye(d) / d
+
+    def lift_a(self, rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+        if not self.antiunitary:
+            return super().lift_a(rho, d_a, d_b)
+        u = self.w_unitary
+        pt = partial_transpose_a(rho, d_a, d_b, self.transpose_basis)
+        lift = np.kron(u, np.eye(d_b))
+        out = (1.0 - self.gamma) * (lift @ pt @ lift.conj().T)
+        rho_b = ptrace_a(rho, d_a, d_b)
+        return out + self.gamma * np.kron(np.eye(d_a) / d_a, rho_b)
+
+    def apply_local_a(self, state: BipartiteState) -> BipartiteState:
+        try:
+            return super().apply_local_a(state)
+        except NotDensityMatrix as exc:
+            if not self.antiunitary:
+                raise
+            raise NotPositiveSemidefinite(
+                f"antiunitary lift is not a state ({exc}); the channel is not "
+                "completely positive at this gamma"
+            ) from exc
 
     def kraus_ops(self):
         if self.antiunitary:
@@ -268,7 +281,13 @@ class SemiclassicalChannel(QuantumChannel):
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         _check_dim(rho, self.dim)
-        return dephase_in_basis(self.inner.apply(rho), self.basis)
+        return dephase_a(self.inner.apply(rho), self.dim, 1, self.basis)
+
+    def lift_a(self, rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+        ops = self.kraus_ops()
+        if ops is None:  # the inner channel has no Kraus form: lift it, then dephase
+            return dephase_a(self.inner.lift_a(rho, d_a, d_b), d_a, d_b, self.basis)
+        return _kraus_lift(ops, rho, d_b)
 
     def kraus_ops(self):
         inner = self.inner.kraus_ops()
@@ -295,20 +314,7 @@ def apply_local_a_raw(
     """(channel (x) identity)(rho) on a raw matrix, without state validation."""
     if channel.dim != d_a:
         raise DimensionMismatch(f"channel dimension {channel.dim} != {d_a}")
-    if isinstance(channel, IsotropicChannel) and channel.antiunitary:
-        u = channel.w_unitary
-        pt = partial_transpose_a(rho, d_a, d_b, channel.transpose_basis)
-        lift = np.kron(u, np.eye(d_b))
-        out = (1.0 - channel.gamma) * (lift @ pt @ lift.conj().T)
-        rho_b = ptrace_a(rho, d_a, d_b)
-        return out + channel.gamma * np.kron(np.eye(d_a) / d_a, rho_b)
-    ops = channel.kraus_ops()
-    eye_b = np.eye(d_b)
-    out = np.zeros_like(rho)
-    for k in ops:
-        lift = np.kron(k, eye_b)
-        out += lift @ rho @ lift.conj().T
-    return out
+    return channel.lift_a(rho, d_a, d_b)
 
 
 # --- commutation predicates ---------------------------------------------------
@@ -366,15 +372,6 @@ class ChannelReport:
     trials: int = 0
 
 
-def _sample_nondegenerate(rng, d_a: int, d_b: int) -> BipartiteState:
-    for _ in range(1000):
-        state = sample_random_bipartite(rng, d_a, d_b, d_a * d_b)
-        dec = hermitian_eig(ptrace_b(state.rho, d_a, d_b))
-        if not dec.degenerate:
-            return state
-    raise RuntimeError("could not sample a nondegenerate-marginal state")
-
-
 def _dephase_in_marginal_basis(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     dec = hermitian_eig(ptrace_b(rho, d_a, d_b))
     return dephase_a(rho, d_a, d_b, dec.eigenvectors)
@@ -398,13 +395,11 @@ def commutes_with_pi(
     max_dev = 0.0
     witness = None
     for _ in range(trials):
-        state = _sample_nondegenerate(rng, d_a, d_b)
+        state, _ = sample_nondegenerate(rng, d_a, d_b)
         out = apply_local_a_raw(channel, state.rho, d_a, d_b)
-        dec_in = hermitian_eig(ptrace_b(state.rho, d_a, d_b))
         lhs = _dephase_in_marginal_basis(out, d_a, d_b)
-        rhs = apply_local_a_raw(
-            channel, dephase_a(state.rho, d_a, d_b, dec_in.eigenvectors), d_a, d_b
-        )
+        cq = dephase_a(state.rho, d_a, d_b, state.marginal_eig.eigenvectors)
+        rhs = apply_local_a_raw(channel, cq, d_a, d_b)
         dev = trace_norm(lhs - rhs)
         if dev > max_dev:
             max_dev = dev
@@ -434,8 +429,8 @@ def is_discord_nongenerating(
     max_dev = 0.0
     witness = None
     for _ in range(trials):
-        state = _sample_nondegenerate(rng, d_a, d_b)
-        cq = _dephase_in_marginal_basis(state.rho, d_a, d_b)
+        state, _ = sample_nondegenerate(rng, d_a, d_b)
+        cq = dephase_a(state.rho, d_a, d_b, state.marginal_eig.eigenvectors)
         out = apply_local_a_raw(channel, cq, d_a, d_b)
         dev = trace_norm(_dephase_in_marginal_basis(out, d_a, d_b) - out)
         if dev > max_dev:
@@ -448,32 +443,26 @@ def is_discord_nongenerating(
     )
 
 
+#: (holds, violated) verdict labels of the two scans
+COMMUTING = ("commuting", "non-commuting")
+NONGENERATING = ("nongenerating", "generating")
+
+
 def condition_verdict(
     max_deviation: float,
     commute_tol: float = COMMUTE_TOL,
     violation_tol: float = VIOLATION_TOL,
+    labels: tuple[str, str] = COMMUTING,
 ) -> str:
-    """Map a scan deviation to commuting / non-commuting / inconclusive.
+    """Map a scan deviation to labels[0] / labels[1] / inconclusive.
 
     The band between the two thresholds is a deliberate dead zone separating
     round-off from structural violation.
     """
     if max_deviation <= commute_tol:
-        return "commuting"
+        return labels[0]
     if max_deviation >= violation_tol:
-        return "non-commuting"
-    return "inconclusive"
-
-
-def nongenerating_verdict(
-    max_deviation: float,
-    commute_tol: float = COMMUTE_TOL,
-    violation_tol: float = VIOLATION_TOL,
-) -> str:
-    if max_deviation <= commute_tol:
-        return "nongenerating"
-    if max_deviation >= violation_tol:
-        return "generating"
+        return labels[1]
     return "inconclusive"
 
 

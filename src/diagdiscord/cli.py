@@ -25,7 +25,6 @@ from .errors import (
     DiagDiscordError,
     ParseError,
 )
-from .linalg import von_neumann_entropy
 from .states import (
     MultipartiteState,
     load_state,
@@ -153,21 +152,14 @@ def _cmd_discord(args) -> int:
         if not isinstance(state, MultipartiteState):
             state = MultipartiteState(state.rho, (state.dim_a, state.dim_b))
         parties = [int(p) for p in args.parties.split(",")] if args.parties else []
-        dephased = dd.pi_multi(state, parties)
-        value = max(
-            von_neumann_entropy(dephased.rho) - von_neumann_entropy(state.rho), 0.0
-        )
+        value = dd.entropy_gain(state, dd.pi_multi(state, parties))
         print(f"{value:.12f}")
         return EXIT_OK
     if isinstance(state, MultipartiteState):
         raise ParseError("this mode requires a bipartite state file")
     if args.mode == "diagonal":
         res = dd.pi_a(state, optimize_degenerate=args.optimize_degenerate)
-        value = max(
-            von_neumann_entropy(res.dephased.rho) - von_neumann_entropy(state.rho),
-            0.0,
-        )
-        print(f"{value:.12f}")
+        print(f"{res.value:.12f}")
         print(
             f"degenerate={res.degenerate} "
             f"optimized_over_degeneracy={res.optimized_over_degeneracy}",
@@ -265,8 +257,8 @@ def _cmd_classify(args) -> int:
     verdict_c = ch.condition_verdict(
         rep_c.max_deviation, args.tol_commute, args.tol_violation
     )
-    verdict_g = ch.nongenerating_verdict(
-        rep_g.max_deviation, args.tol_commute, args.tol_violation
+    verdict_g = ch.condition_verdict(
+        rep_g.max_deviation, args.tol_commute, args.tol_violation, ch.NONGENERATING
     )
     print(
         f"commuting-condition: {verdict_c} "

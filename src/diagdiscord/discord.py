@@ -22,12 +22,12 @@ from .errors import (
     OutOfRange,
 )
 from .linalg import (
-    DEGENERACY_TOL,
     SpectralDecomposition,
     binary_entropy,
     hermitian_eig,
     relative_entropy,
     schatten_norm,
+    spectrum_entropy,
     von_neumann_entropy,
 )
 from .states import BipartiteState, MultipartiteState, ptrace_a, ptrace_b
@@ -57,24 +57,44 @@ class SchattenNorm(DistanceMeasure):
 
 @dataclass(frozen=True)
 class PiResult:
-    """Outcome of dephasing subsystem A in an eigenbasis of rho_A."""
+    """Outcome of dephasing subsystem A in an eigenbasis of rho_A.
+
+    ``value`` is the diagonal discord S(dephased) - S(rho), floored at zero.
+    """
 
     dephased: BipartiteState
     basis_used: np.ndarray
     degenerate: bool
     optimized_over_degeneracy: bool
+    value: float
+
+
+def entropy_gain(state, dephased) -> float:
+    """S(dephased) - S(state) in bits, floored at zero, from the kept spectra."""
+    return max(dephased.entropy - state.entropy, 0.0)
+
+
+def in_a_basis(rho: np.ndarray, d_a: int, d_b: int, basis: np.ndarray, act) -> np.ndarray:
+    """Rotate A into the basis columns, apply ``act``, and rotate back.
+
+    ``act`` maps the (d_a, d_b, d_a, d_b) tensor of the rotated rho.
+    """
+    rot = np.kron(basis.conj().T, np.eye(d_b))
+    t = act((rot @ rho @ rot.conj().T).reshape(d_a, d_b, d_a, d_b))
+    rot_back = np.kron(basis, np.eye(d_b))
+    return rot_back @ t.reshape(d_a * d_b, d_a * d_b) @ rot_back.conj().T
+
+
+def _a_diagonal(t: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(t)
+    for i in range(t.shape[0]):
+        out[i, :, i, :] = t[i, :, i, :]
+    return out
 
 
 def dephase_a(rho: np.ndarray, d_a: int, d_b: int, basis: np.ndarray) -> np.ndarray:
     """sum_i (|v_i><v_i| (x) I) rho (|v_i><v_i| (x) I) for basis columns v_i."""
-    rot = np.kron(basis.conj().T, np.eye(d_b))
-    t = (rot @ rho @ rot.conj().T).reshape(d_a, d_b, d_a, d_b)
-    out = np.zeros_like(t)
-    for i in range(d_a):
-        out[i, :, i, :] = t[i, :, i, :]
-    out = out.reshape(d_a * d_b, d_a * d_b)
-    rot_back = np.kron(basis, np.eye(d_b))
-    return rot_back @ out @ rot_back.conj().T
+    return in_a_basis(rho, d_a, d_b, basis, _a_diagonal)
 
 
 def _conditional_blocks(rho: np.ndarray, d_a: int, d_b: int, basis: np.ndarray) -> np.ndarray:
@@ -85,12 +105,7 @@ def _conditional_blocks(rho: np.ndarray, d_a: int, d_b: int, basis: np.ndarray) 
 
 def _blocks_entropy(blocks: np.ndarray) -> float:
     """S of the block-diagonal matrix with the given PSD blocks (bits)."""
-    vals = np.linalg.eigvalsh(blocks).ravel()
-    vals = np.clip(vals, 0.0, None)
-    vals = vals[vals > 0.0]
-    if len(vals) == 0:
-        return 0.0
-    return float(-(vals * np.log(vals)).sum() / _LN2)
+    return spectrum_entropy(np.clip(np.linalg.eigvalsh(blocks).ravel(), 0.0, None))
 
 
 def _rotate_blocks(basis: np.ndarray, blocks: tuple[tuple[int, int], ...], angles) -> np.ndarray:
@@ -152,18 +167,26 @@ def _optimize_degenerate_basis(dec: SpectralDecomposition, objective) -> np.ndar
     return _rotate_blocks(dec.eigenvectors, blocks, angles)
 
 
-def marginal_decomposition(
-    state: BipartiteState, degeneracy_tol: float = DEGENERACY_TOL
-) -> SpectralDecomposition:
-    """Spectral decomposition of rho_A."""
-    return hermitian_eig(ptrace_b(state.rho, state.dim_a, state.dim_b), degeneracy_tol)
+def _eigenbasis(state: BipartiteState, optimize_degenerate: bool, objective) -> np.ndarray:
+    """Eigenbasis of rho_A that the A-side dephasing uses.
+
+    A nondegenerate marginal fixes it up to phases. A degenerate one raises
+    DegenerateMarginal unless ``optimize_degenerate`` is set; then
+    ``objective(basis)`` is minimized over the degenerate blocks.
+    """
+    dec = state.marginal_eig
+    if not dec.degenerate:
+        return dec.eigenvectors
+    if not optimize_degenerate:
+        raise DegenerateMarginal(
+            f"rho_A is degenerate (min gap {dec.min_gap:.3e}); blocks "
+            f"{dec.degenerate_blocks}",
+            blocks=dec.degenerate_blocks,
+        )
+    return _optimize_degenerate_basis(dec, objective)
 
 
-def pi_a(
-    state: BipartiteState,
-    optimize_degenerate: bool = False,
-    degeneracy_tol: float = DEGENERACY_TOL,
-) -> PiResult:
+def pi_a(state: BipartiteState, optimize_degenerate: bool = False) -> PiResult:
     """Dephase A in an eigenbasis of rho_A.
 
     With a nondegenerate marginal the eigenbasis is unique up to phases and
@@ -173,42 +196,26 @@ def pi_a(
     spanning each degenerate block.
     """
     d_a, d_b = state.dim_a, state.dim_b
-    dec = hermitian_eig(ptrace_b(state.rho, d_a, d_b), degeneracy_tol)
-    degenerate = dec.degenerate
-    optimized = False
-    if not degenerate:
-        basis = dec.eigenvectors
-    elif not optimize_degenerate:
-        raise DegenerateMarginal(
-            f"rho_A is degenerate (min gap {dec.min_gap:.3e}); blocks "
-            f"{dec.degenerate_blocks}",
-            blocks=dec.degenerate_blocks,
-        )
-    else:
-        basis = _optimize_degenerate_basis(
-            dec,
-            lambda b: _blocks_entropy(_conditional_blocks(state.rho, d_a, d_b, b)),
-        )
-        optimized = True
+    basis = _eigenbasis(
+        state,
+        optimize_degenerate,
+        lambda b: _blocks_entropy(_conditional_blocks(state.rho, d_a, d_b, b)),
+    )
     dephased = dephase_a(state.rho, d_a, d_b, basis)
-    dephased = (dephased + dephased.conj().T) / 2.0
+    dephased = BipartiteState((dephased + dephased.conj().T) / 2.0, d_a, d_b)
+    degenerate = state.marginal_eig.degenerate
     return PiResult(
-        dephased=BipartiteState(dephased, d_a, d_b),
+        dephased=dephased,
         basis_used=basis,
         degenerate=degenerate,
-        optimized_over_degeneracy=optimized,
+        optimized_over_degeneracy=degenerate,
+        value=entropy_gain(state, dephased),
     )
 
 
-def diagonal_discord(
-    state: BipartiteState,
-    optimize_degenerate: bool = False,
-    degeneracy_tol: float = DEGENERACY_TOL,
-) -> float:
+def diagonal_discord(state: BipartiteState, optimize_degenerate: bool = False) -> float:
     """S(pi_A(rho)) - S(rho) in bits, minimized over degenerate eigenbases."""
-    res = pi_a(state, optimize_degenerate, degeneracy_tol)
-    val = von_neumann_entropy(res.dephased.rho) - von_neumann_entropy(state.rho)
-    return max(val, 0.0)
+    return pi_a(state, optimize_degenerate).value
 
 
 def mutual_information(state: BipartiteState) -> float:
@@ -216,18 +223,16 @@ def mutual_information(state: BipartiteState) -> float:
     val = (
         von_neumann_entropy(ptrace_b(state.rho, state.dim_a, state.dim_b))
         + von_neumann_entropy(ptrace_a(state.rho, state.dim_a, state.dim_b))
-        - von_neumann_entropy(state.rho)
+        - state.entropy
     )
     return max(val, 0.0)
 
 
 def diagonal_discord_via_mi(
-    state: BipartiteState,
-    optimize_degenerate: bool = False,
-    degeneracy_tol: float = DEGENERACY_TOL,
+    state: BipartiteState, optimize_degenerate: bool = False
 ) -> float:
     """I(rho) - I(pi_A(rho)); equals diagonal_discord since pi_A keeps marginals."""
-    res = pi_a(state, optimize_degenerate, degeneracy_tol)
+    res = pi_a(state, optimize_degenerate)
     val = mutual_information(state) - mutual_information(res.dephased)
     return max(val, 0.0)
 
@@ -236,7 +241,6 @@ def generalized_discord(
     state: BipartiteState,
     delta: DistanceMeasure,
     optimize_degenerate: bool = False,
-    degeneracy_tol: float = DEGENERACY_TOL,
 ) -> float:
     """delta(rho, pi_A(rho)) for the chosen distance measure.
 
@@ -244,83 +248,50 @@ def generalized_discord(
     eigenbases of the degenerate blocks.
     """
     if isinstance(delta, RelativeEntropy):
-        res = pi_a(state, optimize_degenerate, degeneracy_tol)
+        res = pi_a(state, optimize_degenerate)
         return relative_entropy(state.rho, res.dephased.rho)
     if not isinstance(delta, SchattenNorm):
         raise TypeError(f"unsupported distance measure {delta!r}")
     d_a, d_b = state.dim_a, state.dim_b
-    dec = hermitian_eig(ptrace_b(state.rho, d_a, d_b), degeneracy_tol)
-    if not dec.degenerate:
-        basis = dec.eigenvectors
-    elif not optimize_degenerate:
-        raise DegenerateMarginal(
-            f"rho_A is degenerate (min gap {dec.min_gap:.3e})",
-            blocks=dec.degenerate_blocks,
-        )
-    else:
-        basis = _optimize_degenerate_basis(
-            dec,
-            lambda b: schatten_norm(
-                state.rho - dephase_a(state.rho, d_a, d_b, b), delta.p
-            ),
-        )
-    return schatten_norm(state.rho - dephase_a(state.rho, d_a, d_b, basis), delta.p)
 
+    def distance(basis: np.ndarray) -> float:
+        return schatten_norm(state.rho - dephase_a(state.rho, d_a, d_b, basis), delta.p)
 
-def _party_marginal(t: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Marginal of party k from the rank-2n tensor form of rho."""
-    idx_ket = list(range(n))
-    idx_bra = list(range(n))
-    for j in range(n):
-        if j != k:
-            idx_bra[j] = idx_ket[j]
-        else:
-            idx_bra[j] = n
-    return np.einsum(t, idx_ket + idx_bra, [k, n])
+    return distance(_eigenbasis(state, optimize_degenerate, distance))
 
 
 def pi_multi(state: MultipartiteState, parties) -> MultipartiteState:
     """Dephase every listed party in an eigenbasis of its marginal.
 
-    The map is idempotent and preserves all measured marginals; measuring an
+    Each party is permuted to the front and dephased by ``dephase_a``. The
+    map is idempotent and preserves all measured marginals; measuring an
     empty party set is the identity.
     """
     parties = sorted(set(int(p) for p in parties))
-    n = len(state.dims)
+    dims = state.dims
+    n = len(dims)
     for k in parties:
         if not 0 <= k < n:
             raise DimensionMismatch(f"party index {k} outside 0..{n - 1}")
-    rho = state.rho.copy()
+    rho = state.rho
+    size = rho.shape[0]
     for k in parties:
-        t = rho.reshape(*state.dims, *state.dims)
-        marg = _party_marginal(t, n, k)
-        dec = hermitian_eig(marg)
+        order = [k, *(j for j in range(n) if j != k)]
+        axes = order + [n + j for j in order]
+        front = rho.reshape(dims * 2).transpose(axes).reshape(size, size)
+        d_k, rest = dims[k], size // dims[k]
+        dec = hermitian_eig(ptrace_b(front, d_k, rest))
         if dec.degenerate:
             raise DegenerateMarginal(
                 f"marginal of party {k} is degenerate (min gap {dec.min_gap:.3e})",
                 blocks=dec.degenerate_blocks,
                 party=k,
             )
-        v = dec.eigenvectors
-        d_k = state.dims[k]
-        # rotate party k into its eigenbasis, zero the off-diagonal slices
-        t = np.tensordot(v.conj().T, t, axes=([1], [k]))
-        t = np.moveaxis(t, 0, k)
-        t = np.tensordot(t, v, axes=([n + k], [0]))
-        t = np.moveaxis(t, -1, n + k)
-        t = np.moveaxis(t, (k, n + k), (0, 1))
-        masked = np.zeros_like(t)
-        for i in range(d_k):
-            masked[i, i] = t[i, i]
-        t = np.moveaxis(masked, (0, 1), (k, n + k))
-        # rotate back
-        t = np.tensordot(v, t, axes=([1], [k]))
-        t = np.moveaxis(t, 0, k)
-        t = np.tensordot(t, v.conj().T, axes=([n + k], [0]))
-        t = np.moveaxis(t, -1, n + k)
-        rho = t.reshape(rho.shape)
+        front = dephase_a(front, d_k, rest, dec.eigenvectors)
+        permuted = tuple(dims[j] for j in order) * 2
+        rho = front.reshape(permuted).transpose(np.argsort(axes)).reshape(size, size)
     rho = (rho + rho.conj().T) / 2.0
-    return MultipartiteState(rho, state.dims)
+    return MultipartiteState(rho, dims)
 
 
 # --- two-qubit optimized (projective) discord --------------------------------
@@ -394,10 +365,6 @@ class OptimizedDiscordResult:
     theta: float
     phi: float
 
-    @property
-    def best_angles(self) -> tuple[float, float]:
-        return (self.theta, self.phi)
-
 
 def optimized_discord_2q(state: BipartiteState) -> OptimizedDiscordResult:
     """Ollivier-Zurek discord of a two-qubit state, measured on A.
@@ -416,7 +383,7 @@ def optimized_discord_2q(state: BipartiteState) -> OptimizedDiscordResult:
     rho_a = np.array(
         [[np.trace(b00), np.trace(b01)], [np.trace(b10), np.trace(b11)]]
     )
-    base = von_neumann_entropy(rho_a) - von_neumann_entropy(state.rho)
+    base = von_neumann_entropy(rho_a) - state.entropy
 
     grid = _post_measurement_entropy_grid(b00, b01, b10, b11, rho_b)
     g = int(np.argmin(grid))

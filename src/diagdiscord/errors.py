@@ -34,7 +34,11 @@ class OutOfRange(DiagDiscordError):
 
 
 class OutOfDomain(DiagDiscordError):
-    """Continuity-bound arguments leave the bound's domain of validity."""
+    """Arguments leave a bound's domain, or a rejection sampler runs out of attempts."""
+
+
+class InvariantViolation(DiagDiscordError):
+    """A computed result breaks an inequality the theory guarantees."""
 
 
 class DimensionMismatch(DiagDiscordError):

@@ -24,11 +24,11 @@ from .discord import (
     pi_a,
     schatten_continuity_bound,
 )
-from .errors import DegenerateMarginal, OutOfRange
-from .linalg import hermitian_eig, trace_norm, von_neumann_entropy
+from .errors import DegenerateMarginal, InvariantViolation, OutOfDomain, OutOfRange
+from .linalg import trace_norm
 from .states import (
     BipartiteState,
-    ptrace_b,
+    sample_nondegenerate,
     sample_random_bipartite,
     sample_x_params,
     x_state_from_params,
@@ -39,6 +39,14 @@ MONOTONICITY_TOL = 1e-9
 #: marginal min-gap below which a sample is treated as degenerate
 MARGINAL_GAP_TOL = 1e-8
 UPPER_BOUND_TOL = 1e-9
+#: base states run_continuity_check draws per sample before giving up. The
+#: share of Hilbert-Schmidt states whose marginal gap puts eps = 1e-3 inside
+#: the bound's domain is 1 at 2x2 and 2x3, 0.93 at 3x3, 0.60 at 3x4 and 0
+#: of 1000 at 4x4 (largest gap 0.074, needed 0.091).
+CONTINUITY_BASE_BUDGET = 1000
+#: perturbation directions drawn per (sample, eps) before giving up; at
+#: eps <= 1e-3 at least 98% of directions are kept at every dims up to 3x4.
+CONTINUITY_DIRECTION_BUDGET = 1000
 
 
 @dataclass
@@ -189,23 +197,6 @@ def _finalize(record: ExperimentRecord, counters: dict) -> ExperimentRecord:
 
 # --- experiment runners -------------------------------------------------------------
 
-def _discord_optimizing(state) -> tuple[float, bool]:
-    """Diagonal discord with degenerate-eigenbasis optimization, plus the flag."""
-    res = pi_a(state, optimize_degenerate=True)
-    val = von_neumann_entropy(res.dephased.rho) - von_neumann_entropy(state.rho)
-    return max(val, 0.0), res.degenerate
-
-
-def _sample_nondegenerate_state(rng, d_a, d_b, rank):
-    resampled = 0
-    while True:
-        state = sample_random_bipartite(rng, d_a, d_b, rank)
-        dec = hermitian_eig(ptrace_b(state.rho, d_a, d_b))
-        if not dec.degenerate:
-            return state, dec, resampled
-        resampled += 1
-
-
 def run_monotonicity(
     channel_spec,
     samples: int,
@@ -223,11 +214,10 @@ def run_monotonicity(
 
     def one(i: int):
         rng = sample_rng(seed, i)
-        state, _, resampled = _sample_nondegenerate_state(rng, 2, 2, rank)
+        state, resampled = sample_nondegenerate(rng, 2, 2, rank)
         before = diagonal_discord(state)
-        after_state = channel.apply_local_a(state)
-        after, degenerate_out = _discord_optimizing(after_state)
-        return (before, after), resampled, degenerate_out
+        after = pi_a(channel.apply_local_a(state), optimize_degenerate=True)
+        return (before, after.value), resampled, after.degenerate
 
     results = _map_indexed(one, samples, threads)
     rows = np.array([r[0] for r in results], dtype=float)
@@ -269,14 +259,13 @@ def run_xstate_comparison(
         while True:
             params = sample_x_params(rng)
             state = x_state_from_params(params)
-            dec = hermitian_eig(ptrace_b(state.rho, 2, 2))
-            if not dec.degenerate:
+            if not state.marginal_eig.degenerate:
                 break
             excluded += 1
         dd = diagonal_discord(state)
         od = optimized_discord_2q(state).value
         if od > dd + UPPER_BOUND_TOL:
-            raise RuntimeError(
+            raise InvariantViolation(
                 f"optimized discord {od} exceeds diagonal discord {dd}"
             )
         return (params.r6, params.r8, params.r9, params.r15, od, dd), excluded
@@ -328,27 +317,37 @@ def run_continuity_check(
     """
     seed = _check_seed(seed)
     eps_list = [float(e) for e in eps_list]
-    if not eps_list or any(e < 0 for e in eps_list):
-        raise OutOfRange("eps values must be nonnegative")
+    if not eps_list or any(not 0.0 <= e < 2.0 for e in eps_list):
+        raise OutOfRange("eps values must lie in [0, 2)")
     if samples < 1:
         raise OutOfRange("samples must be >= 1")
     d = d_a * d_b
     eps_max = max(eps_list)
+    c = math.sqrt(2.0 * d_a**3 * d_b**3)
 
     def _domain_ok(gap: float) -> bool:
-        c = math.sqrt(2.0 * d_a**3 * d_b**3)
-        return 0.5 * (2.0 * c / gap + 1.0) * eps_max <= 1.0 and eps_max <= 2.0
+        return 0.5 * (2.0 * c / gap + 1.0) * eps_max <= 1.0
 
     def one(i: int):
         rng = sample_rng(seed, i)
         resampled_base = 0
-        while True:
-            state, dec, extra = _sample_nondegenerate_state(rng, d_a, d_b, d)
+        largest_gap = 0.0
+        for _ in range(CONTINUITY_BASE_BUDGET):
+            state, extra = sample_nondegenerate(rng, d_a, d_b, d)
             resampled_base += extra
-            gap = dec.min_gap
+            gap = state.marginal_eig.min_gap
             if gap >= MARGINAL_GAP_TOL and _domain_ok(gap):
                 break
+            largest_gap = max(largest_gap, gap)
             resampled_base += 1
+        else:
+            raise OutOfDomain(
+                f"0 of {CONTINUITY_BASE_BUDGET} sampled ({d_a},{d_b}) states "
+                f"have a marginal gap inside the bound's domain at "
+                f"eps = {eps_max:g}: it needs a gap of at least "
+                f"{c * eps_max / (1.0 - eps_max / 2.0):.3g}, the largest was "
+                f"{largest_gap:.3g}; use a smaller eps"
+            )
         dd0 = diagonal_discord(state)
         s20 = generalized_discord(state, SchattenNorm(2))
         rows = []
@@ -357,7 +356,7 @@ def run_continuity_check(
             if eps == 0.0:
                 rows.append((eps, gap, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
                 continue
-            while True:
+            for _ in range(CONTINUITY_DIRECTION_BUDGET):
                 t = _traceless_direction(rng, d)
                 pert = state.rho + eps * t
                 vals = np.linalg.eigvalsh(pert)
@@ -365,11 +364,17 @@ def run_continuity_check(
                     resampled_dirs += 1
                     continue
                 pert_state = BipartiteState(pert, d_a, d_b)
-                pdec = hermitian_eig(ptrace_b(pert, d_a, d_b))
+                pdec = pert_state.marginal_eig
                 if pdec.degenerate or pdec.min_gap < gap / 2.0:
                     resampled_dirs += 1
                     continue
                 break
+            else:
+                raise OutOfDomain(
+                    f"0 of {CONTINUITY_DIRECTION_BUDGET} perturbation directions "
+                    f"at eps = {eps:g} keep the ({d_a},{d_b}) state positive "
+                    f"and its marginal gap above {gap / 2.0:.3g}; use a smaller eps"
+                )
             dd1 = diagonal_discord(pert_state)
             s21 = generalized_discord(pert_state, SchattenNorm(2))
             bound = continuity_bound(d_a, d_b, gap, eps)
@@ -425,8 +430,8 @@ def _mono_max_increase(channel, trials: int, rng, d_b: int = 2) -> float:
     while done < trials:
         state = sample_random_bipartite(rng, channel.dim, d_b, channel.dim * d_b)
         try:
-            before, _ = _discord_optimizing(state)
-            after, _ = _discord_optimizing(channel.apply_local_a(state))
+            before = pi_a(state, optimize_degenerate=True).value
+            after = pi_a(channel.apply_local_a(state), optimize_degenerate=True).value
         except DegenerateMarginal:
             continue
         worst = max(worst, after - before)

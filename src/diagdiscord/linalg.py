@@ -51,23 +51,18 @@ class SpectralDecomposition:
         return bool(self.degenerate_blocks)
 
 
-def _as_complex_matrix(m) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise NotHermitian("matrix has non-finite entries")
-    return m
-
-
-def hermitian_eig(m, degeneracy_tol: float = DEGENERACY_TOL) -> SpectralDecomposition:
+def hermitian_eig(m) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix with a fixed phase convention.
 
     Each eigenvector is rescaled so that its largest-magnitude entry is real
     and positive, which makes the output deterministic for identical input
     bits (up to the underlying LAPACK determinism).
     """
-    m = _as_complex_matrix(m)
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m.view(float))):
+        raise NotHermitian("matrix has non-finite entries")
     dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
     if dev > HERMITICITY_TOL:
         raise NotHermitian(f"|m - m^dag| = {dev:.3e} exceeds {HERMITICITY_TOL}")
@@ -93,7 +88,7 @@ def hermitian_eig(m, degeneracy_tol: float = DEGENERACY_TOL) -> SpectralDecompos
         blocks = []
         start = 0
         for i, gap in enumerate(diffs):
-            if gap >= degeneracy_tol:
+            if gap >= DEGENERACY_TOL:
                 if i + 1 - start > 1:
                     blocks.append((start, i + 1))
                 start = i + 1
@@ -102,22 +97,32 @@ def hermitian_eig(m, degeneracy_tol: float = DEGENERACY_TOL) -> SpectralDecompos
     return SpectralDecomposition(vals, vecs, min_gap, tuple(blocks))
 
 
-def density_eigenvalues(rho) -> np.ndarray:
-    """Eigenvalues of a density matrix, validated and clamped at zero."""
-    rho = _as_complex_matrix(rho)
+def density_eigenvalues(rho, what: str = "state") -> np.ndarray:
+    """Eigenvalues of a density matrix, validated and clamped at zero.
+
+    This is the package's one density check: finite, Hermitian, no
+    eigenvalue below -EIG_FLOOR_TOL, unit trace. ``what`` names the matrix
+    in the NotDensityMatrix message.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise NotDensityMatrix(f"{what} matrix shape {rho.shape} not square")
+    if not np.isfinite(rho).all():
+        raise NotDensityMatrix(f"{what} has non-finite entries")
     dev = np.max(np.abs(rho - rho.conj().T))
     if dev > HERMITICITY_TOL:
-        raise NotDensityMatrix(f"not Hermitian: deviation {dev:.3e}")
+        raise NotDensityMatrix(f"{what} not Hermitian: deviation {dev:.3e}")
     vals = np.linalg.eigvalsh(rho)
     if vals[0] < -EIG_FLOOR_TOL:
-        raise NotDensityMatrix(f"negative eigenvalue {vals[0]:.3e}")
+        raise NotDensityMatrix(f"{what} has negative eigenvalue {vals[0]:.3e}")
     tr = float(vals.sum())
     if abs(tr - 1.0) > TRACE_TOL:
-        raise NotDensityMatrix(f"trace {tr!r} != 1")
+        raise NotDensityMatrix(f"{what} trace {tr!r} != 1")
     return np.clip(vals, 0.0, None)
 
 
-def _entropy_terms(vals: np.ndarray) -> float:
+def spectrum_entropy(vals: np.ndarray) -> float:
+    """-sum v log2 v over the positive entries of an eigenvalue vector (bits)."""
     vals = vals[vals > 0.0]
     if len(vals) == 0:
         return 0.0
@@ -126,7 +131,7 @@ def _entropy_terms(vals: np.ndarray) -> float:
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -tr rho log2 rho in bits, with 0 log 0 := 0."""
-    return max(_entropy_terms(density_eigenvalues(rho)), 0.0)
+    return max(spectrum_entropy(density_eigenvalues(rho)), 0.0)
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -135,17 +140,10 @@ def relative_entropy(rho, sigma) -> float:
     Raises SupportViolation when rho has weight outside the support of
     sigma (the divergence is +inf there).
     """
-    rho = _as_complex_matrix(rho)
-    density_eigenvalues(rho)
-    sigma = _as_complex_matrix(sigma)
-    dev = np.max(np.abs(sigma - sigma.conj().T))
-    if dev > HERMITICITY_TOL:
-        raise NotDensityMatrix(f"sigma not Hermitian: deviation {dev:.3e}")
-    svals, svecs = np.linalg.eigh(sigma)
-    if svals[0] < -EIG_FLOOR_TOL:
-        raise NotDensityMatrix(f"sigma has negative eigenvalue {svals[0]:.3e}")
-    if abs(float(svals.sum()) - 1.0) > TRACE_TOL:
-        raise NotDensityMatrix("sigma trace != 1")
+    rho_vals = density_eigenvalues(rho)
+    density_eigenvalues(sigma, "sigma")
+    rho = np.asarray(rho, dtype=complex)
+    svals, svecs = np.linalg.eigh(np.asarray(sigma, dtype=complex))
 
     overlaps = np.real(np.einsum("ij,jk,ki->i", svecs.conj().T, rho, svecs))
     on_null = svals <= SUPPORT_TOL
@@ -155,7 +153,7 @@ def relative_entropy(rho, sigma) -> float:
             f"rho carries weight {null_mass:.3e} outside supp(sigma)"
         )
 
-    tr_rho_log_rho = -_entropy_terms(density_eigenvalues(rho))
+    tr_rho_log_rho = -spectrum_entropy(rho_vals)
     keep = ~on_null
     tr_rho_log_sigma = float(
         (overlaps[keep] * np.log(svals[keep])).sum() / _LN2

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,10 +21,17 @@ from .errors import (
     InvalidRank,
     NotDensityMatrix,
     NotPositiveSemidefinite,
+    OutOfDomain,
     OutOfRange,
     ParseError,
 )
-from .linalg import EIG_FLOOR_TOL, HERMITICITY_TOL, TRACE_TOL
+from .linalg import (
+    DEGENERACY_TOL,
+    SpectralDecomposition,
+    density_eigenvalues,
+    hermitian_eig,
+    spectrum_entropy,
+)
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
@@ -73,21 +81,27 @@ SU4_GENERATORS: tuple[np.ndarray, ...] = _build_su4_generators()
 L3, L6, L8, L9, L15 = (SU4_GENERATORS[i - 1] for i in (3, 6, 8, 9, 15))
 
 
-def _validate_density(rho: np.ndarray, what: str = "state") -> None:
-    if not np.all(np.isfinite(rho.view(float))):
-        raise NotDensityMatrix(f"{what} has non-finite entries")
-    dev = np.max(np.abs(rho - rho.conj().T))
-    if dev > HERMITICITY_TOL:
-        raise NotDensityMatrix(f"{what} not Hermitian: deviation {dev:.3e}")
-    vals = np.linalg.eigvalsh(rho)
-    if vals[0] < -EIG_FLOOR_TOL:
-        raise NotDensityMatrix(f"{what} has negative eigenvalue {vals[0]:.3e}")
-    if abs(float(np.trace(rho).real) - 1.0) > TRACE_TOL:
-        raise NotDensityMatrix(f"{what} trace != 1")
+class _ValidatedDensity:
+    """Keeps the spectrum found by the density check (clamped, ascending)."""
+
+    rho: np.ndarray
+    spectrum: np.ndarray
+
+    def _validate(self, rho: np.ndarray) -> None:
+        spectrum = density_eigenvalues(rho)
+        rho.setflags(write=False)
+        spectrum.setflags(write=False)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "spectrum", spectrum)
+
+    @property
+    def entropy(self) -> float:
+        """S(rho) in bits from the kept spectrum; equals von_neumann_entropy(rho)."""
+        return max(spectrum_entropy(self.spectrum), 0.0)
 
 
 @dataclass(frozen=True)
-class BipartiteState:
+class BipartiteState(_ValidatedDensity):
     """A density matrix on A x B, tagged with the subsystem dimensions."""
 
     rho: np.ndarray
@@ -104,17 +118,20 @@ class BipartiteState:
             raise DimensionMismatch(
                 f"matrix dimension {rho.shape[0]} != {self.dim_a}*{self.dim_b}"
             )
-        _validate_density(rho)
-        rho.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
+        self._validate(rho)
 
     @property
     def dim(self) -> int:
         return self.dim_a * self.dim_b
 
+    @cached_property
+    def marginal_eig(self) -> SpectralDecomposition:
+        """Spectral decomposition of rho_A, computed on first use and kept."""
+        return hermitian_eig(ptrace_b(self.rho, self.dim_a, self.dim_b))
+
 
 @dataclass(frozen=True)
-class MultipartiteState:
+class MultipartiteState(_ValidatedDensity):
     """A density matrix over subsystems A_1 ... A_n."""
 
     rho: np.ndarray
@@ -131,9 +148,7 @@ class MultipartiteState:
             raise DimensionMismatch(
                 f"matrix dimension {rho.shape[0]} != prod{dims}"
             )
-        _validate_density(rho)
-        rho.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
+        self._validate(rho)
         object.__setattr__(self, "dims", dims)
 
 
@@ -202,13 +217,10 @@ def x_state_matrix(params: XStateParams) -> np.ndarray:
 
 def x_state_from_params(params: XStateParams) -> BipartiteState:
     """Symmetric two-qubit X-state with Bloch coordinates (r6, r8, r9, r15)."""
-    m = x_state_matrix(params)
-    vals = np.linalg.eigvalsh(m)
-    if vals[0] < -EIG_FLOOR_TOL:
-        raise NotPositiveSemidefinite(
-            f"X-state matrix has eigenvalue {vals[0]:.3e} < 0"
-        )
-    return BipartiteState(m, 2, 2)
+    try:
+        return BipartiteState(x_state_matrix(params), 2, 2)
+    except NotDensityMatrix as exc:  # the matrix is Hermitian with unit trace
+        raise NotPositiveSemidefinite(f"X-state matrix is not PSD: {exc}") from exc
 
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
@@ -269,6 +281,31 @@ def sample_random_bipartite(
     return BipartiteState(rho, d_a, d_b)
 
 
+#: consecutive draws sample_nondegenerate makes before giving up. A full-rank
+#: Hilbert-Schmidt state has a degenerate A-marginal with probability zero
+#: (none in 10^4 draws at each of 2x2 ... 4x4), so running out means the
+#: requested rank forces a degenerate marginal.
+NONDEGENERATE_BUDGET = 1000
+
+
+def sample_nondegenerate(
+    rng: np.random.Generator, d_a: int, d_b: int, rank: int | None = None
+) -> tuple[BipartiteState, int]:
+    """Random state whose A-marginal is nondegenerate, and the draws rejected.
+
+    The marginal decomposition used by the test stays cached on the state.
+    """
+    for rejected in range(NONDEGENERATE_BUDGET):
+        state = sample_random_bipartite(rng, d_a, d_b, rank)
+        if not state.marginal_eig.degenerate:
+            return state, rejected
+    raise OutOfDomain(
+        f"all {NONDEGENERATE_BUDGET} sampled ({d_a},{d_b}) states of rank "
+        f"{rank or d_a * d_b} had a degenerate A-marginal (acceptance rate 0; "
+        f"gap below {DEGENERACY_TOL}); choose a larger rank"
+    )
+
+
 def classical_quantum_state(probs, basis, sigmas) -> BipartiteState:
     """sum_i p_i |i><i| (x) sigma_i over an orthonormal A-basis."""
     probs = np.asarray(probs, dtype=float)
@@ -291,7 +328,7 @@ def classical_quantum_state(probs, basis, sigmas) -> BipartiteState:
     for sigma in sigmas:
         if sigma.shape != (d_b, d_b):
             raise DimensionMismatch("sigma blocks have inconsistent dimensions")
-        _validate_density(sigma, "sigma")
+        density_eigenvalues(sigma, "sigma")
     d_a = basis.shape[0]
     rho = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
     for p, v, sigma in zip(probs, basis.T, sigmas):

@@ -297,9 +297,9 @@ class TestVerdicts:
         assert ch.condition_verdict(1e-12) == "commuting"
         assert ch.condition_verdict(0.5) == "non-commuting"
         assert ch.condition_verdict(1e-6) == "inconclusive"
-        assert ch.nongenerating_verdict(1e-12) == "nongenerating"
-        assert ch.nongenerating_verdict(0.5) == "generating"
-        assert ch.nongenerating_verdict(1e-6) == "inconclusive"
+        assert ch.condition_verdict(1e-12, labels=ch.NONGENERATING) == "nongenerating"
+        assert ch.condition_verdict(0.5, labels=ch.NONGENERATING) == "generating"
+        assert ch.condition_verdict(1e-6, labels=ch.NONGENERATING) == "inconclusive"
 
 
 class TestSerialization:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,32 @@ class TestExperimentCommand:
         summary = cli.read_summary_csv(out / "continuity_2x2_summary.csv")
         assert float(summary["min_slack"]) >= 0.0
 
+    def test_continuity_without_admissible_base_state_exits_4(self, tmp_path, capsys):
+        # no 4x4 Hilbert-Schmidt state has the marginal gap eps = 1e-3 needs
+        start = time.perf_counter()
+        code = cli.main([
+            "experiment", "continuity", "--dims", "4", "4", "--samples", "1",
+            "--seed", "1", "--output-dir", str(tmp_path / "cont"),
+        ])
+        assert code == cli.EXIT_INVARIANT
+        assert time.perf_counter() - start < 10.0
+        err = capsys.readouterr().err
+        assert "eps = 0.001" in err and "gap" in err
+
+    def test_xstate_upper_bound_violation_exits_4(self, tmp_path, capsys, monkeypatch):
+        from diagdiscord.discord import OptimizedDiscordResult
+
+        monkeypatch.setattr(
+            ex, "optimized_discord_2q",
+            lambda state: OptimizedDiscordResult(value=10.0, theta=0.0, phi=0.0),
+        )
+        code = cli.main([
+            "experiment", "xstate", "--samples", "2", "--seed", "1",
+            "--output-dir", str(tmp_path / "x"),
+        ])
+        assert code == cli.EXIT_INVARIANT
+        assert "exceeds diagonal discord" in capsys.readouterr().err
+
     def test_classify_sweep_subcommand(self, tmp_path, capsys):
         out = tmp_path / "sweep"
         assert cli.main([
@@ -185,6 +213,20 @@ class TestClassifyCommand:
         assert "nongenerating-condition: nongenerating" in out
         witness = st.load_state(out_dir / "witness_commute.txt")
         assert isinstance(witness, st.BipartiteState)
+
+    def test_semiclassical_with_antiunitary_inner_file(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        inner = ch.random_isotropic(rng, 2, antiunitary=True)
+        channel = ch.SemiclassicalChannel(ch.haar_unitary(rng, 2), inner)
+        assert channel.kraus_ops() is None
+        path = tmp_path / "sc_anti.txt"
+        ch.save_channel(channel, path)
+        assert cli.main([
+            "classify", str(path), "--trials", "15", "--seed", "2",
+            "--output-dir", str(tmp_path / "wit"),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "nongenerating-condition: nongenerating" in out
 
     def test_amplitude_damping_file(self, tmp_path, capsys):
         path = tmp_path / "ad.txt"
