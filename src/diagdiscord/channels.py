@@ -74,20 +74,21 @@ def _kraus_lift(ops, rho: np.ndarray, d_b: int) -> np.ndarray:
 
 
 class QuantumChannel:
-    """Common surface for the channel classes below."""
+    """Common surface for the channel classes below.
+
+    Each class defines its channel once, by ``lift_a``; ``apply`` is that
+    lift with a trivial B.
+    """
 
     dim: int
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def kraus_ops(self) -> tuple[np.ndarray, ...] | None:
-        """Kraus operators, or None when the map is not completely positive."""
-        raise NotImplementedError
-
     def lift_a(self, rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-        """(channel (x) identity)(rho); Kraus form unless a class overrides it."""
-        return _kraus_lift(self.kraus_ops(), rho, d_b)
+        """(channel (x) identity)(rho) for a (d_a*d_b) x (d_a*d_b) matrix."""
+        raise NotImplementedError
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        _check_dim(rho, self.dim)
+        return self.lift_a(rho, self.dim, 1)
 
     def apply_local_a(self, state: BipartiteState) -> BipartiteState:
         """Act with (channel (x) identity) on a bipartite state."""
@@ -120,12 +121,11 @@ class KrausChannel(QuantumChannel):
     def dim(self) -> int:
         return self.ops[0].shape[0]
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        _check_dim(rho, self.dim)
-        return sum(k @ rho @ k.conj().T for k in self.ops)
-
-    def kraus_ops(self):
+    def kraus_ops(self) -> tuple[np.ndarray, ...]:
         return self.ops
+
+    def lift_a(self, rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+        return _kraus_lift(self.ops, rho, d_b)
 
     def tag(self) -> str:
         return "kraus"
@@ -158,16 +158,13 @@ class MixedUnitaryChannel(QuantumChannel):
     def dim(self) -> int:
         return self.unitaries[0].shape[0]
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        _check_dim(rho, self.dim)
-        return sum(
-            p * (u @ rho @ u.conj().T) for p, u in zip(self.probs, self.unitaries)
-        )
-
-    def kraus_ops(self):
+    def kraus_ops(self) -> tuple[np.ndarray, ...]:
         return tuple(
             math.sqrt(p) * u for p, u in zip(self.probs, self.unitaries) if p > 0
         )
+
+    def lift_a(self, rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+        return _kraus_lift(self.kraus_ops(), rho, d_b)
 
     def tag(self) -> str:
         return "mixed-unitary"
@@ -178,9 +175,9 @@ class IsotropicChannel(QuantumChannel):
     """(1 - gamma) W(rho) + gamma I/d, W unitary or antiunitary.
 
     The antiunitary core acts as rho -> U rho^T U^dag with the transpose
-    taken in ``transpose_basis``. That map is positive but not completely
-    positive, so it has no Kraus form; its lift to AB is the
-    partial-transpose-then-unitary composite.
+    taken in ``transpose_basis``. That map is positive, but completely
+    positive only for gamma >= d/(d+1), so below that its lift to AB may
+    leave the state cone.
     """
 
     gamma: float
@@ -209,25 +206,18 @@ class IsotropicChannel(QuantumChannel):
     def dim(self) -> int:
         return self.w_unitary.shape[0]
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        _check_dim(rho, self.dim)
-        d = self.dim
-        u = self.w_unitary
+    def lift_a(self, rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+        """(1 - gamma) (W (x) I) core (W (x) I)^dag + gamma I/d_a (x) rho_B.
+
+        The core is rho, or its partial transpose on A for an antiunitary W.
+        """
         core = (
-            partial_transpose_a(rho, d, 1, self.transpose_basis)
+            partial_transpose_a(rho, d_a, d_b, self.transpose_basis)
             if self.antiunitary
             else rho
         )
-        out = (1.0 - self.gamma) * (u @ core @ u.conj().T)
-        return out + self.gamma * np.trace(rho) * np.eye(d) / d
-
-    def lift_a(self, rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-        if not self.antiunitary:
-            return super().lift_a(rho, d_a, d_b)
-        u = self.w_unitary
-        pt = partial_transpose_a(rho, d_a, d_b, self.transpose_basis)
-        lift = np.kron(u, np.eye(d_b))
-        out = (1.0 - self.gamma) * (lift @ pt @ lift.conj().T)
+        lift = np.kron(self.w_unitary, np.eye(d_b))
+        out = (1.0 - self.gamma) * (lift @ core @ lift.conj().T)
         rho_b = ptrace_a(rho, d_a, d_b)
         return out + self.gamma * np.kron(np.eye(d_a) / d_a, rho_b)
 
@@ -241,22 +231,6 @@ class IsotropicChannel(QuantumChannel):
                 f"antiunitary lift is not a state ({exc}); the channel is not "
                 "completely positive at this gamma"
             ) from exc
-
-    def kraus_ops(self):
-        if self.antiunitary:
-            return None
-        d = self.dim
-        ops = []
-        if self.gamma < 1.0:
-            ops.append(math.sqrt(1.0 - self.gamma) * self.w_unitary)
-        if self.gamma > 0.0:
-            w = math.sqrt(self.gamma / d)
-            for i in range(d):
-                for j in range(d):
-                    k = np.zeros((d, d), dtype=complex)
-                    k[i, j] = w
-                    ops.append(k)
-        return tuple(ops)
 
     def tag(self) -> str:
         return "isotropic"
@@ -279,25 +253,8 @@ class SemiclassicalChannel(QuantumChannel):
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        _check_dim(rho, self.dim)
-        return dephase_a(self.inner.apply(rho), self.dim, 1, self.basis)
-
     def lift_a(self, rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-        ops = self.kraus_ops()
-        if ops is None:  # the inner channel has no Kraus form: lift it, then dephase
-            return dephase_a(self.inner.lift_a(rho, d_a, d_b), d_a, d_b, self.basis)
-        return _kraus_lift(ops, rho, d_b)
-
-    def kraus_ops(self):
-        inner = self.inner.kraus_ops()
-        if inner is None:
-            return None
-        projs = [
-            np.outer(self.basis[:, i], self.basis[:, i].conj())
-            for i in range(self.dim)
-        ]
-        return tuple(p @ k for k in inner for p in projs)
+        return dephase_a(self.inner.lift_a(rho, d_a, d_b), d_a, d_b, self.basis)
 
     def tag(self) -> str:
         return "semiclassical"

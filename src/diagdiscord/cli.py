@@ -160,11 +160,7 @@ def _cmd_discord(args) -> int:
     if args.mode == "diagonal":
         res = dd.pi_a(state, optimize_degenerate=args.optimize_degenerate)
         print(f"{res.value:.12f}")
-        print(
-            f"degenerate={res.degenerate} "
-            f"optimized_over_degeneracy={res.optimized_over_degeneracy}",
-            file=sys.stderr,
-        )
+        print(f"degenerate={res.degenerate}", file=sys.stderr)
         print(f"basis columns (A):\n{res.basis_used}", file=sys.stderr)
     elif args.mode == "optimized2q":
         result = dd.optimized_discord_2q(state)
@@ -190,15 +186,12 @@ def _run_experiment(args) -> ex.ExperimentRecord:
         spec = args.channel
         if spec not in ex.BUILTIN_CHANNELS and Path(spec).exists():
             spec = ch.load_channel(spec)
-        return ex.run_monotonicity(
-            spec, samples=args.samples, seed=seed, threads=args.threads
-        )
+        return ex.run_monotonicity(spec, samples=args.samples, seed=seed)
     if args.experiment == "xstate":
         return ex.run_xstate_comparison(
             samples=args.samples,
             seed=seed,
             equality_tol=args.tol_equality,
-            threads=args.threads,
         )
     if args.experiment == "continuity":
         return ex.run_continuity_check(
@@ -207,7 +200,6 @@ def _run_experiment(args) -> ex.ExperimentRecord:
             samples=args.samples,
             eps_list=args.eps,
             seed=seed,
-            threads=args.threads,
         )
     if args.experiment == "classify-sweep":
         return ex.run_channel_classification(
@@ -327,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--samples", type=int, default=1000)
     p_exp.add_argument("--output-dir", default=".")
     p_exp.add_argument("--svg", action="store_true")
-    p_exp.add_argument("--threads", type=int, default=1)
     p_exp.add_argument("--channel", default="fig2a", help="built-in name or channel file")
     p_exp.add_argument("--tol-equality", type=float, default=1e-6)
     p_exp.add_argument("--dims", type=int, nargs=2, default=(2, 2))

@@ -65,7 +65,6 @@ class PiResult:
     dephased: BipartiteState
     basis_used: np.ndarray
     degenerate: bool
-    optimized_over_degeneracy: bool
     value: float
 
 
@@ -203,12 +202,10 @@ def pi_a(state: BipartiteState, optimize_degenerate: bool = False) -> PiResult:
     )
     dephased = dephase_a(state.rho, d_a, d_b, basis)
     dephased = BipartiteState((dephased + dephased.conj().T) / 2.0, d_a, d_b)
-    degenerate = state.marginal_eig.degenerate
     return PiResult(
         dephased=dephased,
         basis_used=basis,
-        degenerate=degenerate,
-        optimized_over_degeneracy=degenerate,
+        degenerate=state.marginal_eig.degenerate,
         value=entropy_gain(state, dephased),
     )
 
@@ -380,9 +377,7 @@ def optimized_discord_2q(state: BipartiteState) -> OptimizedDiscordResult:
     t = state.rho.reshape(2, 2, 2, 2)
     b00, b01, b10, b11 = t[0, :, 0, :], t[0, :, 1, :], t[1, :, 0, :], t[1, :, 1, :]
     rho_b = b00 + b11
-    rho_a = np.array(
-        [[np.trace(b00), np.trace(b01)], [np.trace(b10), np.trace(b11)]]
-    )
+    rho_a = ptrace_b(state.rho, 2, 2)
     base = von_neumann_entropy(rho_a) - state.entropy
 
     grid = _post_measurement_entropy_grid(b00, b01, b10, b11, rho_b)
@@ -397,7 +392,7 @@ def optimized_discord_2q(state: BipartiteState) -> OptimizedDiscordResult:
     )
     candidates.append((float(res.fun), float(res.x[0]), float(res.x[1])))
 
-    dec = hermitian_eig(rho_a)
+    dec = state.marginal_eig
     if not dec.degenerate:
         v = dec.eigenvectors[:, 0]
         theta_e = 2.0 * math.atan2(abs(v[1]), abs(v[0]))

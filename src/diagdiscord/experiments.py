@@ -2,14 +2,12 @@
 
 Every experiment is driven by a master seed; the work for sample ``i`` uses
 an independent substream derived from (seed, i), so records are
-bit-identical for identical (experiment, seed, parameters) regardless of
-how samples are partitioned across worker threads.
+bit-identical for identical (experiment, seed, parameters).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,13 +62,6 @@ class ExperimentRecord:
 def sample_rng(seed: int, *key: int) -> np.random.Generator:
     """Independent per-sample generator derived from (seed, key)."""
     return np.random.default_rng([int(seed), *map(int, key)])
-
-
-def _map_indexed(fn, n: int, threads: int = 1) -> list:
-    if threads <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n)))
 
 
 def _check_seed(seed: int) -> int:
@@ -202,7 +193,6 @@ def run_monotonicity(
     samples: int,
     seed: int,
     rank: int = 4,
-    threads: int = 1,
 ) -> ExperimentRecord:
     """Diagonal discord before vs after a local qubit channel on random states."""
     seed = _check_seed(seed)
@@ -219,7 +209,7 @@ def run_monotonicity(
         after = pi_a(channel.apply_local_a(state), optimize_degenerate=True)
         return (before, after.value), resampled, after.degenerate
 
-    results = _map_indexed(one, samples, threads)
+    results = [one(i) for i in range(samples)]
     rows = np.array([r[0] for r in results], dtype=float)
     counters = {
         "resampled_degenerate": float(sum(r[1] for r in results)),
@@ -244,7 +234,6 @@ def run_xstate_comparison(
     samples: int,
     seed: int,
     equality_tol: float = 1e-6,
-    threads: int = 1,
 ) -> ExperimentRecord:
     """Optimized vs diagonal discord over random symmetric two-qubit X-states."""
     seed = _check_seed(seed)
@@ -270,7 +259,7 @@ def run_xstate_comparison(
             )
         return (params.r6, params.r8, params.r9, params.r15, od, dd), excluded
 
-    results = _map_indexed(one, samples, threads)
+    results = [one(i) for i in range(samples)]
     rows = np.array([r[0] for r in results], dtype=float)
     counters = {"excluded_degenerate": float(sum(r[1] for r in results))}
     record = ExperimentRecord(
@@ -307,7 +296,6 @@ def run_continuity_check(
     samples: int,
     eps_list,
     seed: int,
-    threads: int = 1,
 ) -> ExperimentRecord:
     """Discord change under trace-norm perturbations vs the continuity bounds.
 
@@ -393,7 +381,7 @@ def run_continuity_check(
             )
         return rows, resampled_base, resampled_dirs
 
-    results = _map_indexed(one, samples, threads)
+    results = [one(i) for i in range(samples)]
     rows = np.array([row for r in results for row in r[0]], dtype=float)
     counters = {
         "resampled_base": float(sum(r[1] for r in results)),

@@ -49,9 +49,7 @@ class TestConstructors:
         rng = np.random.default_rng(0)
         for channel in (
             ch.random_mixed_unitary(rng, 3),
-            ch.random_isotropic(rng, 3),
             ch.random_kraus_channel(rng, 3),
-            ch.random_semiclassical(rng, 3),
         ):
             total = sum(k.conj().T @ k for k in channel.kraus_ops())
             assert np.max(np.abs(total - np.eye(3))) <= 1e-10
@@ -176,6 +174,44 @@ class TestApplyLocalA:
             ch.probabilistic_hadamard().apply_local_a(random_state(rng, 3, 2))
 
 
+class TestReferenceLifts:
+    """Closed-form lifts against Kraus sums written out here."""
+
+    @staticmethod
+    def _kraus_sum(ops, rho, d_b):
+        lifts = [np.kron(k, np.eye(d_b)) for k in ops]
+        return sum(l @ rho @ l.conj().T for l in lifts)
+
+    @pytest.mark.parametrize("d_a", [2, 3, 4])
+    def test_unitary_isotropic_equals_kraus_sum(self, d_a):
+        rng = np.random.default_rng(40 + d_a)
+        iso = ch.random_isotropic(rng, d_a)
+        g = iso.gamma
+        ops = [math.sqrt(1.0 - g) * iso.w_unitary]
+        for i in range(d_a):
+            for j in range(d_a):
+                k = np.zeros((d_a, d_a), dtype=complex)
+                k[i, j] = math.sqrt(g / d_a)
+                ops.append(k)
+        rho = random_state(rng, d_a, 2).rho
+        expected = self._kraus_sum(ops, rho, 2)
+        assert np.max(np.abs(iso.lift_a(rho, d_a, 2) - expected)) <= 1e-13
+
+    @pytest.mark.parametrize("d_a", [2, 3, 4])
+    def test_semiclassical_equals_projected_kraus_sum(self, d_a):
+        rng = np.random.default_rng(50 + d_a)
+        sc = ch.random_semiclassical(rng, d_a)
+        v = sc.basis
+        ops = [
+            np.outer(v[:, i], v[:, i].conj()) @ k
+            for k in sc.inner.ops
+            for i in range(d_a)
+        ]
+        rho = random_state(rng, d_a, 2).rho
+        expected = self._kraus_sum(ops, rho, 2)
+        assert np.max(np.abs(sc.lift_a(rho, d_a, 2) - expected)) <= 1e-13
+
+
 class TestCommutingCondition:
     def test_single_unitary_channel(self):
         rng = np.random.default_rng(12)
@@ -227,6 +263,9 @@ class TestIsotropicAsMixedUnitary:
             for _ in range(20):
                 rho = random_density(rng, 2)
                 assert np.max(np.abs(mu.apply(rho) - iso.apply(rho))) <= 1e-12
+                rho_ab = random_density(rng, 6)
+                lifted = iso.lift_a(rho_ab, 2, 3) - mu.lift_a(rho_ab, 2, 3)
+                assert np.max(np.abs(lifted)) <= 1e-12
 
     def test_rejects_non_cp_antiunitary(self):
         iso = ch.IsotropicChannel(0.4, np.eye(2, dtype=complex), antiunitary=True)

@@ -60,11 +60,6 @@ class TestXStateComparison:
         assert np.array_equal(a.rows, b.rows)
         assert a.summary == b.summary
 
-    def test_threads_do_not_change_rows(self):
-        a = ex.run_xstate_comparison(samples=30, seed=9, threads=1)
-        b = ex.run_xstate_comparison(samples=30, seed=9, threads=3)
-        assert np.array_equal(a.rows, b.rows)
-
 
 class TestContinuity:
     def test_slack_nonnegative(self):
