@@ -29,11 +29,12 @@ from .states import (
     BipartiteState,
     _format_matrix_rows,
     _parse_matrix_rows,
+    conjugate_a,
     ptrace_a,
     ptrace_b,
     sample_nondegenerate,
 )
-from .discord import dephase_a, in_a_basis
+from .discord import dephase_a
 
 UNITARITY_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
@@ -59,18 +60,15 @@ def _check_unitary(u: np.ndarray, what: str) -> np.ndarray:
 
 
 def partial_transpose_a(rho: np.ndarray, d_a: int, d_b: int, basis: np.ndarray) -> np.ndarray:
-    """Transpose the A indices of rho_AB in the given A-basis."""
-    return in_a_basis(rho, d_a, d_b, basis, lambda t: t.transpose(2, 1, 0, 3))
+    """Transpose A in the basis B: (B B^T (x) I) rho^{T_A} (B B^T (x) I)^dag."""
+    d = d_a * d_b
+    flipped = rho.reshape(d_a, d_b, d_a, d_b).transpose(2, 1, 0, 3).reshape(d, d)
+    return conjugate_a(basis @ basis.T, flipped, d_a, d_b)
 
 
-def _kraus_lift(ops, rho: np.ndarray, d_b: int) -> np.ndarray:
+def _kraus_lift(ops, rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     """sum_k (K_k (x) I) rho (K_k (x) I)^dag."""
-    eye_b = np.eye(d_b)
-    out = np.zeros_like(rho)
-    for k in ops:
-        lift = np.kron(k, eye_b)
-        out += lift @ rho @ lift.conj().T
-    return out
+    return sum(conjugate_a(k, rho, d_a, d_b) for k in ops)
 
 
 class QuantumChannel:
@@ -125,7 +123,7 @@ class KrausChannel(QuantumChannel):
         return self.ops
 
     def lift_a(self, rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-        return _kraus_lift(self.ops, rho, d_b)
+        return _kraus_lift(self.ops, rho, d_a, d_b)
 
     def tag(self) -> str:
         return "kraus"
@@ -164,7 +162,7 @@ class MixedUnitaryChannel(QuantumChannel):
         )
 
     def lift_a(self, rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-        return _kraus_lift(self.kraus_ops(), rho, d_b)
+        return _kraus_lift(self.kraus_ops(), rho, d_a, d_b)
 
     def tag(self) -> str:
         return "mixed-unitary"
@@ -216,8 +214,7 @@ class IsotropicChannel(QuantumChannel):
             if self.antiunitary
             else rho
         )
-        lift = np.kron(self.w_unitary, np.eye(d_b))
-        out = (1.0 - self.gamma) * (lift @ core @ lift.conj().T)
+        out = (1.0 - self.gamma) * conjugate_a(self.w_unitary, core, d_a, d_b)
         rho_b = ptrace_a(rho, d_a, d_b)
         return out + self.gamma * np.kron(np.eye(d_a) / d_a, rho_b)
 

@@ -30,7 +30,14 @@ from .linalg import (
     spectrum_entropy,
     von_neumann_entropy,
 )
-from .states import BipartiteState, MultipartiteState, ptrace_a, ptrace_b
+from .states import (
+    BipartiteState,
+    MultipartiteState,
+    blocks_a,
+    from_blocks_a,
+    ptrace_a,
+    ptrace_b,
+)
 
 _LN2 = math.log(2.0)
 
@@ -73,38 +80,9 @@ def entropy_gain(state, dephased) -> float:
     return max(dephased.entropy - state.entropy, 0.0)
 
 
-def in_a_basis(rho: np.ndarray, d_a: int, d_b: int, basis: np.ndarray, act) -> np.ndarray:
-    """Rotate A into the basis columns, apply ``act``, and rotate back.
-
-    ``act`` maps the (d_a, d_b, d_a, d_b) tensor of the rotated rho.
-    """
-    rot = np.kron(basis.conj().T, np.eye(d_b))
-    t = act((rot @ rho @ rot.conj().T).reshape(d_a, d_b, d_a, d_b))
-    rot_back = np.kron(basis, np.eye(d_b))
-    return rot_back @ t.reshape(d_a * d_b, d_a * d_b) @ rot_back.conj().T
-
-
-def _a_diagonal(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    for i in range(t.shape[0]):
-        out[i, :, i, :] = t[i, :, i, :]
-    return out
-
-
 def dephase_a(rho: np.ndarray, d_a: int, d_b: int, basis: np.ndarray) -> np.ndarray:
     """sum_i (|v_i><v_i| (x) I) rho (|v_i><v_i| (x) I) for basis columns v_i."""
-    return in_a_basis(rho, d_a, d_b, basis, _a_diagonal)
-
-
-def _conditional_blocks(rho: np.ndarray, d_a: int, d_b: int, basis: np.ndarray) -> np.ndarray:
-    """Stacked blocks <v_i| rho |v_i> of shape (d_a, d_b, d_b)."""
-    t = rho.reshape(d_a, d_b, d_a, d_b)
-    return np.einsum("ia,abcd,ic->ibd", basis.T.conj(), t, basis.T)
-
-
-def _blocks_entropy(blocks: np.ndarray) -> float:
-    """S of the block-diagonal matrix with the given PSD blocks (bits)."""
-    return spectrum_entropy(np.clip(np.linalg.eigvalsh(blocks).ravel(), 0.0, None))
+    return from_blocks_a(basis, blocks_a(rho, d_a, d_b, basis))
 
 
 def _rotate_blocks(basis: np.ndarray, blocks: tuple[tuple[int, int], ...], angles) -> np.ndarray:
@@ -198,7 +176,7 @@ def pi_a(state: BipartiteState, optimize_degenerate: bool = False) -> PiResult:
     basis = _eigenbasis(
         state,
         optimize_degenerate,
-        lambda b: _blocks_entropy(_conditional_blocks(state.rho, d_a, d_b, b)),
+        lambda b: spectrum_entropy(np.linalg.eigvalsh(blocks_a(state.rho, d_a, d_b, b))),
     )
     dephased = dephase_a(state.rho, d_a, d_b, basis)
     dephased = BipartiteState((dephased + dephased.conj().T) / 2.0, d_a, d_b)
@@ -377,8 +355,7 @@ def optimized_discord_2q(state: BipartiteState) -> OptimizedDiscordResult:
     t = state.rho.reshape(2, 2, 2, 2)
     b00, b01, b10, b11 = t[0, :, 0, :], t[0, :, 1, :], t[1, :, 0, :], t[1, :, 1, :]
     rho_b = b00 + b11
-    rho_a = ptrace_b(state.rho, 2, 2)
-    base = von_neumann_entropy(rho_a) - state.entropy
+    base = spectrum_entropy(state.marginal_eig.eigenvalues) - state.entropy
 
     grid = _post_measurement_entropy_grid(b00, b01, b10, b11, rho_b)
     g = int(np.argmin(grid))

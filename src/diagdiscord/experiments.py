@@ -22,7 +22,13 @@ from .discord import (
     pi_a,
     schatten_continuity_bound,
 )
-from .errors import DegenerateMarginal, InvariantViolation, OutOfDomain, OutOfRange
+from .errors import (
+    DegenerateMarginal,
+    InvariantViolation,
+    NotDensityMatrix,
+    OutOfDomain,
+    OutOfRange,
+)
 from .linalg import trace_norm
 from .states import (
     BipartiteState,
@@ -346,17 +352,15 @@ def run_continuity_check(
                 continue
             for _ in range(CONTINUITY_DIRECTION_BUDGET):
                 t = _traceless_direction(rng, d)
-                pert = state.rho + eps * t
-                vals = np.linalg.eigvalsh(pert)
-                if vals[0] < 0.0:
-                    resampled_dirs += 1
-                    continue
-                pert_state = BipartiteState(pert, d_a, d_b)
-                pdec = pert_state.marginal_eig
-                if pdec.degenerate or pdec.min_gap < gap / 2.0:
-                    resampled_dirs += 1
-                    continue
-                break
+                try:
+                    pert_state = BipartiteState(state.rho + eps * t, d_a, d_b)
+                except NotDensityMatrix:
+                    pert_state = None
+                if pert_state is not None and pert_state.spectrum[0] >= 0.0:
+                    pdec = pert_state.marginal_eig
+                    if not pdec.degenerate and pdec.min_gap >= gap / 2.0:
+                        break
+                resampled_dirs += 1
             else:
                 raise OutOfDomain(
                     f"0 of {CONTINUITY_DIRECTION_BUDGET} perturbation directions "

@@ -98,11 +98,12 @@ def hermitian_eig(m) -> SpectralDecomposition:
 
 
 def density_eigenvalues(rho, what: str = "state") -> np.ndarray:
-    """Eigenvalues of a density matrix, validated and clamped at zero.
+    """Eigenvalues of a density matrix, validated, ascending and unclamped.
 
     This is the package's one density check: finite, Hermitian, no
-    eigenvalue below -EIG_FLOOR_TOL, unit trace. ``what`` names the matrix
-    in the NotDensityMatrix message.
+    eigenvalue below -EIG_FLOOR_TOL, unit trace. Entries in
+    [-EIG_FLOOR_TOL, 0) are returned as they are; ``spectrum_entropy``
+    ignores them. ``what`` names the matrix in the NotDensityMatrix message.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -118,11 +119,11 @@ def density_eigenvalues(rho, what: str = "state") -> np.ndarray:
     tr = float(vals.sum())
     if abs(tr - 1.0) > TRACE_TOL:
         raise NotDensityMatrix(f"{what} trace {tr!r} != 1")
-    return np.clip(vals, 0.0, None)
+    return vals
 
 
 def spectrum_entropy(vals: np.ndarray) -> float:
-    """-sum v log2 v over the positive entries of an eigenvalue vector (bits)."""
+    """-sum v log2 v over the positive entries of an eigenvalue array (bits)."""
     vals = vals[vals > 0.0]
     if len(vals) == 0:
         return 0.0

@@ -82,7 +82,7 @@ L3, L6, L8, L9, L15 = (SU4_GENERATORS[i - 1] for i in (3, 6, 8, 9, 15))
 
 
 class _ValidatedDensity:
-    """Keeps the spectrum found by the density check (clamped, ascending)."""
+    """Keeps the spectrum found by the density check, ascending and unclamped."""
 
     rho: np.ndarray
     spectrum: np.ndarray
@@ -187,6 +187,25 @@ def ptrace_a(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     if rho.shape != (d_a * d_b, d_a * d_b):
         raise DimensionMismatch(f"shape {rho.shape} incompatible with ({d_a},{d_b})")
     return np.einsum("aiaj->ij", rho.reshape(d_a, d_b, d_a, d_b))
+
+
+def blocks_a(rho: np.ndarray, d_a: int, d_b: int, basis: np.ndarray) -> np.ndarray:
+    """Conditional blocks <v_i| rho |v_i> for the basis columns v_i, shape (k, d_b, d_b)."""
+    t = rho.reshape(d_a, d_b, d_a, d_b)
+    return np.einsum("ia,abcd,ic->ibd", basis.T.conj(), t, basis.T)
+
+
+def from_blocks_a(basis: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """sum_i |v_i><v_i| (x) blocks[i] for the basis columns v_i."""
+    d = basis.shape[0] * blocks.shape[-1]
+    return np.einsum("ai,ibd,ci->abcd", basis, blocks, basis.conj()).reshape(d, d)
+
+
+def conjugate_a(op: np.ndarray, rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """(op (x) I) rho (op (x) I)^dag for an operator on A, by two reshaped matmuls."""
+    d = d_a * d_b
+    left = (op @ rho.reshape(d_a, d_b * d)).reshape(d, d_a, d_b)
+    return (op.conj() @ left).reshape(d, d)
 
 
 def partial_trace_b(state: BipartiteState) -> np.ndarray:
@@ -329,11 +348,8 @@ def classical_quantum_state(probs, basis, sigmas) -> BipartiteState:
         if sigma.shape != (d_b, d_b):
             raise DimensionMismatch("sigma blocks have inconsistent dimensions")
         density_eigenvalues(sigma, "sigma")
-    d_a = basis.shape[0]
-    rho = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
-    for p, v, sigma in zip(probs, basis.T, sigmas):
-        rho += p * np.kron(np.outer(v, v.conj()), sigma)
-    return BipartiteState(rho, d_a, d_b)
+    rho = from_blocks_a(basis, probs[:, None, None] * np.stack(sigmas))
+    return BipartiteState(rho, basis.shape[0], d_b)
 
 
 # --- plain-text serialization ------------------------------------------------

@@ -211,6 +211,19 @@ class TestReferenceLifts:
         expected = self._kraus_sum(ops, rho, 2)
         assert np.max(np.abs(sc.lift_a(rho, d_a, 2) - expected)) <= 1e-13
 
+    @pytest.mark.parametrize("d_a", [2, 3, 4])
+    @pytest.mark.parametrize("d_b", [1, 2, 3])
+    def test_partial_transpose_equals_rotate_transpose_unrotate(self, d_a, d_b):
+        rng = np.random.default_rng(70 + 10 * d_a + d_b)
+        rho = random_state(rng, d_a, d_b).rho
+        v = haar(rng, d_a)
+        rot = np.kron(v, np.eye(d_b))
+        t = (rot.conj().T @ rho @ rot).reshape(d_a, d_b, d_a, d_b)
+        flipped = t.transpose(2, 1, 0, 3).reshape(d_a * d_b, d_a * d_b)
+        expected = rot @ flipped @ rot.conj().T
+        out = ch.partial_transpose_a(rho, d_a, d_b, v)
+        assert np.max(np.abs(out - expected)) <= 1e-13
+
 
 class TestCommutingCondition:
     def test_single_unitary_channel(self):

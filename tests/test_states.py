@@ -14,7 +14,7 @@ from diagdiscord.errors import (
     OutOfRange,
     ParseError,
 )
-from helpers import bell_state, random_density, random_state
+from helpers import bell_state, haar, random_density, random_state
 
 
 class TestBipartiteState:
@@ -73,6 +73,34 @@ class TestPartialTrace:
             st.ptrace_b(np.eye(4) / 4, 2, 3)
         with pytest.raises(DimensionMismatch):
             st.ptrace_a(np.eye(6) / 6, 2, 2)
+
+
+class TestASideKernels:
+    """The A-side kernels against Kronecker-product forms written out here."""
+
+    @pytest.mark.parametrize("d_a", [2, 3, 4])
+    @pytest.mark.parametrize("d_b", [1, 2, 3])
+    def test_conjugate_a_equals_kron_conjugation(self, d_a, d_b):
+        rng = np.random.default_rng(60 + 10 * d_a + d_b)
+        rho = random_density(rng, d_a * d_b)
+        op = rng.normal(size=(d_a, d_a)) + 1j * rng.normal(size=(d_a, d_a))
+        lift = np.kron(op, np.eye(d_b))
+        expected = lift @ rho @ lift.conj().T
+        assert np.max(np.abs(st.conjugate_a(op, rho, d_a, d_b) - expected)) <= 1e-13
+
+    @pytest.mark.parametrize("d_a", [2, 3, 4])
+    @pytest.mark.parametrize("d_b", [1, 2, 3])
+    @pytest.mark.parametrize("columns", ["all", "all but one"])
+    def test_blocks_round_trip_equals_projector_sum(self, d_a, d_b, columns):
+        rng = np.random.default_rng(80 + 10 * d_a + d_b)
+        rho = random_density(rng, d_a * d_b)
+        basis = haar(rng, d_a)
+        if columns == "all but one":
+            basis = basis[:, :-1]
+        projectors = [np.kron(np.outer(v, v.conj()), np.eye(d_b)) for v in basis.T]
+        expected = sum(p @ rho @ p for p in projectors)
+        out = st.from_blocks_a(basis, st.blocks_a(rho, d_a, d_b, basis))
+        assert np.max(np.abs(out - expected)) <= 1e-13
 
 
 class TestSU4Generators:
