@@ -163,7 +163,7 @@ def _cmd_discord(args) -> int:
         print(f"degenerate={res.degenerate}", file=sys.stderr)
         print(f"basis columns (A):\n{res.basis_used}", file=sys.stderr)
     elif args.mode == "optimized2q":
-        result = dd.optimized_discord_2q(state)
+        [result] = dd.optimized_discord_2q([state])
         print(f"{result.value:.12f}")
         print(
             f"best angles theta={result.theta:.9f} phi={result.phi:.9f}",

@@ -160,7 +160,7 @@ def test_criterion_6_identity_suite():
             diag = dd.diagonal_discord(s)
         except DegenerateMarginal:
             continue
-        worst_order = max(worst_order, dd.optimized_discord_2q(s).value - diag)
+        worst_order = max(worst_order, dd.optimized_discord_2q([s])[0].value - diag)
         m += 1
     order_ok = worst_order <= 1e-9
 

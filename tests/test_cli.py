@@ -7,6 +7,7 @@ from diagdiscord import channels as ch
 from diagdiscord import cli
 from diagdiscord import experiments as ex
 from diagdiscord import states as st
+from diagdiscord.errors import DegenerateMarginal
 from helpers import bell_state, random_density
 
 
@@ -148,7 +149,7 @@ class TestExperimentCommand:
 
         monkeypatch.setattr(
             ex, "optimized_discord_2q",
-            lambda state: OptimizedDiscordResult(value=10.0, theta=0.0, phi=0.0),
+            lambda states: [OptimizedDiscordResult(value=10.0, theta=0.0, phi=0.0)] * len(states),
         )
         code = cli.main([
             "experiment", "xstate", "--samples", "2", "--seed", "1",
@@ -156,6 +157,29 @@ class TestExperimentCommand:
         ])
         assert code == cli.EXIT_INVARIANT
         assert "exceeds diagonal discord" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("loop", ["x_params", "xstate_degenerate", "mono_degenerate"])
+    def test_rejection_loop_that_never_accepts_exits_4(
+        self, loop, tmp_path, capsys, monkeypatch
+    ):
+        xstate = ["experiment", "xstate", "--samples", "1"]
+        classify = ["experiment", "classify-sweep", "--d-a", "2", "--per-class", "1",
+                    "--trials", "2"]
+        if loop == "x_params":
+            monkeypatch.setattr(st, "_x_candidate_ok", lambda *r: False)
+            args, expected = xstate, "valid X-state"
+        elif loop == "xstate_degenerate":
+            mixed = st.BipartiteState(np.eye(4) / 4, 2, 2)
+            monkeypatch.setattr(ex, "x_state_from_params", lambda params: mixed)
+            args, expected = xstate, "nondegenerate A-marginal"
+        else:
+            def degenerate(*a, **k):
+                raise DegenerateMarginal("degenerate")
+            monkeypatch.setattr(ex, "pi_a", degenerate)
+            args, expected = classify, "acceptance 0"
+        code = cli.main(args + ["--seed", "1", "--output-dir", str(tmp_path / "o")])
+        assert code == cli.EXIT_INVARIANT
+        assert expected in capsys.readouterr().err
 
     def test_classify_sweep_subcommand(self, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -12,7 +12,13 @@ from diagdiscord.errors import (
     OutOfDomain,
 )
 from diagdiscord.linalg import relative_entropy, von_neumann_entropy
-from helpers import bell_state, haar, random_density, random_state
+from helpers import (
+    bell_state,
+    haar,
+    random_density,
+    random_state,
+    reference_optimized_discord_2q,
+)
 
 # Werner-like mixture 0.9 Bell + 0.1 I/4; value frozen from an independent
 # scipy.linalg.logm evaluation of min_basis S(dephased) - S(rho)
@@ -267,19 +273,36 @@ class TestPiMulti:
             dd.pi_multi(s, [3])
 
 
+def _optimized(state):
+    [res] = dd.optimized_discord_2q([state])
+    return res
+
+
+def _reference_states(seed):
+    """Seeded X-states with nondegenerate marginals and rank 1..4 Ginibre states."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < 12:
+        s = st.sample_x_state(rng)
+        if not s.marginal_eig.degenerate:
+            out.append(s)
+    out.extend(random_state(rng, 2, 2, 1 + k % 4) for k in range(12))
+    return out
+
+
 class TestOptimizedDiscord:
     def test_classical_quantum_zero_at_eigenbasis(self):
         rng = np.random.default_rng(15)
         s = st.classical_quantum_state(
             [0.7, 0.3], np.eye(2), [random_density(rng, 2) for _ in range(2)]
         )
-        res = dd.optimized_discord_2q(s)
+        res = _optimized(s)
         assert res.value <= 1e-9
         # optimal measurement is the marginal eigenbasis (theta = 0 or pi)
         assert min(abs(res.theta), abs(res.theta - math.pi)) <= 1e-6
 
     def test_bell_state(self):
-        assert dd.optimized_discord_2q(bell_state()).value == pytest.approx(1.0, abs=1e-9)
+        assert _optimized(bell_state()).value == pytest.approx(1.0, abs=1e-9)
 
     def test_upper_bounded_by_diagonal_discord(self):
         rng = np.random.default_rng(16)
@@ -289,12 +312,48 @@ class TestOptimizedDiscord:
                 diag = dd.diagonal_discord(s)
             except DegenerateMarginal:
                 continue
-            assert dd.optimized_discord_2q(s).value <= diag + 1e-9
+            assert _optimized(s).value <= diag + 1e-9
 
     def test_dimension_check(self):
         rng = np.random.default_rng(17)
         with pytest.raises(DimensionMismatch):
-            dd.optimized_discord_2q(random_state(rng, 2, 3))
+            dd.optimized_discord_2q([random_state(rng, 2, 3)])
+
+    @pytest.mark.parametrize("seed", [18, 19])
+    def test_matches_grid_and_nelder_mead_reference(self, seed):
+        states = _reference_states(seed)
+        for s, res in zip(states, dd.optimized_discord_2q(states)):
+            ref = reference_optimized_discord_2q(s)
+            assert abs(res.value - ref) <= 1e-9
+            assert res.value <= ref + 1e-12
+
+    def test_batch_rows_equal_single_states(self):
+        states = _reference_states(20)
+        batch = dd.optimized_discord_2q(states)
+        assert len(batch) == len(states)
+        for s, res in zip(states, batch):
+            assert abs(res.value - _optimized(s).value) <= 1e-14
+
+    def test_classical_quantum_states_in_random_bases(self):
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            u = haar(rng, 2)
+            s = st.classical_quantum_state(
+                rng.dirichlet(np.ones(2)), u, [random_density(rng, 2) for _ in range(2)]
+            )
+            res = _optimized(s)
+            assert res.value <= 1e-9
+            # the optimal direction is the basis' Bloch vector, up to sign
+            v = u[:, 0]
+            n = np.array([math.sin(res.theta) * math.cos(res.phi),
+                          math.sin(res.theta) * math.sin(res.phi),
+                          math.cos(res.theta)])
+            n_u = [2 * (np.conj(v[0]) * v[1]).real, 2 * (np.conj(v[0]) * v[1]).imag,
+                   abs(v[0]) ** 2 - abs(v[1]) ** 2]
+            assert abs(abs(float(n @ n_u)) - 1.0) <= 1e-6
+
+    def test_empty_sequence(self):
+        assert dd.optimized_discord_2q([]) == []
 
 
 class TestContinuityBounds:

@@ -1,4 +1,4 @@
-"""Property tests of the shared kernels: dephasing, kept spectra, pi_multi.
+"""Property tests of the shared kernels and of the optimized two-qubit discord.
 
 Hypothesis runs derandomized, so the suite draws the same examples on
 every run.
@@ -13,7 +13,7 @@ from hypothesis import strategies as hs
 from diagdiscord import discord as dd
 from diagdiscord import states as st
 from diagdiscord.linalg import hermitian_eig, von_neumann_entropy
-from helpers import random_density
+from helpers import haar, random_density
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 SEEDS = hs.integers(0, 2**32 - 1)
@@ -95,3 +95,39 @@ def test_pi_multi_over_all_parties_is_idempotent_and_keeps_marginals(seed, dims)
         assert np.max(np.abs(
             _party_marginal(once.rho, dims, k) - _party_marginal(s.rho, dims, k)
         )) <= 1e-12
+
+
+def _two_qubit(seed, rank, x_state):
+    rng = np.random.default_rng(seed)
+    if x_state:
+        return st.sample_x_state(rng)
+    return st.BipartiteState(random_density(rng, 4, rank), 2, 2)
+
+
+@SETTINGS
+@given(seed=SEEDS, rank=hs.integers(1, 4), x_state=hs.booleans())
+def test_optimized_discord_lies_between_zero_and_diagonal_discord(seed, rank, x_state):
+    s = _two_qubit(seed, rank, x_state)
+    assume(not s.marginal_eig.degenerate)
+    [res] = dd.optimized_discord_2q([s])
+    assert 0.0 <= res.value <= dd.diagonal_discord(s) + 1e-9
+
+
+@SETTINGS
+@given(seed=SEEDS, rank=hs.integers(1, 4), x_state=hs.booleans())
+def test_optimized_discord_is_invariant_under_a_unitary_on_b(seed, rank, x_state):
+    s = _two_qubit(seed, rank, x_state)
+    u = np.kron(np.eye(2), haar(np.random.default_rng(seed + 1), 2))
+    rotated = st.BipartiteState(u @ s.rho @ u.conj().T, 2, 2)
+    before, after = dd.optimized_discord_2q([s, rotated])
+    assert abs(after.value - before.value) <= 1e-9
+
+
+@SETTINGS
+@given(seed=SEEDS)
+def test_pure_product_states_have_no_optimized_discord(seed):
+    rng = np.random.default_rng(seed)
+    psi = np.kron(haar(rng, 2)[:, 0], haar(rng, 2)[:, 0])
+    s = st.BipartiteState(np.outer(psi, psi.conj()), 2, 2)
+    [res] = dd.optimized_discord_2q([s])
+    assert res.value <= 1e-9
