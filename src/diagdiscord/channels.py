@@ -61,9 +61,8 @@ def _check_unitary(u: np.ndarray, what: str) -> np.ndarray:
 
 def partial_transpose_a(rho: np.ndarray, d_a: int, d_b: int, basis: np.ndarray) -> np.ndarray:
     """Transpose A in the basis B: (B B^T (x) I) rho^{T_A} (B B^T (x) I)^dag."""
-    d = d_a * d_b
-    flipped = rho.reshape(d_a, d_b, d_a, d_b).transpose(2, 1, 0, 3).reshape(d, d)
-    return conjugate_a(basis @ basis.T, flipped, d_a, d_b)
+    flipped = rho.reshape(rho.shape[:-2] + (d_a, d_b, d_a, d_b)).swapaxes(-4, -2)
+    return conjugate_a(basis @ basis.T, flipped.reshape(rho.shape), d_a, d_b)
 
 
 def _kraus_lift(ops, rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
@@ -75,13 +74,14 @@ class QuantumChannel:
     """Common surface for the channel classes below.
 
     Each class defines its channel once, by ``lift_a``; ``apply`` is that
-    lift with a trivial B.
+    lift with a trivial B. ``lift_a`` and ``apply_local_a`` also take a
+    stack of matrices or states (..., d, d) and act on every row.
     """
 
     dim: int
 
     def lift_a(self, rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-        """(channel (x) identity)(rho) for a (d_a*d_b) x (d_a*d_b) matrix."""
+        """(channel (x) identity)(rho) for a (d_a*d_b) x (d_a*d_b) matrix or a stack of them."""
         raise NotImplementedError
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -91,7 +91,9 @@ class QuantumChannel:
     def apply_local_a(self, state: BipartiteState) -> BipartiteState:
         """Act with (channel (x) identity) on a bipartite state."""
         out = apply_local_a_raw(self, state.rho, state.dim_a, state.dim_b)
-        return BipartiteState((out + out.conj().T) / 2.0, state.dim_a, state.dim_b)
+        return BipartiteState(
+            (out + out.conj().swapaxes(-1, -2)) / 2.0, state.dim_a, state.dim_b
+        )
 
     def tag(self) -> str:
         raise NotImplementedError
@@ -215,8 +217,8 @@ class IsotropicChannel(QuantumChannel):
             else rho
         )
         out = (1.0 - self.gamma) * conjugate_a(self.w_unitary, core, d_a, d_b)
-        rho_b = ptrace_a(rho, d_a, d_b)
-        return out + self.gamma * np.kron(np.eye(d_a) / d_a, rho_b)
+        mixed = np.einsum("ac,...bd->...abcd", np.eye(d_a) / d_a, ptrace_a(rho, d_a, d_b))
+        return out + self.gamma * mixed.reshape(out.shape)
 
     def apply_local_a(self, state: BipartiteState) -> BipartiteState:
         try:

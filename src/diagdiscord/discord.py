@@ -25,6 +25,7 @@ from .errors import (
 from .linalg import (
     SpectralDecomposition,
     binary_entropy,
+    first_bad_row,
     hermitian_eig,
     relative_entropy,
     schatten_norm,
@@ -68,6 +69,7 @@ class PiResult:
     """Outcome of dephasing subsystem A in an eigenbasis of rho_A.
 
     ``value`` is the diagonal discord S(dephased) - S(rho), floored at zero.
+    For a stack of states ``value`` and ``degenerate`` hold one entry per row.
     """
 
     dephased: BipartiteState
@@ -76,9 +78,9 @@ class PiResult:
     value: float
 
 
-def entropy_gain(state, dephased) -> float:
+def entropy_gain(state, dephased):
     """S(dephased) - S(state) in bits, floored at zero, from the kept spectra."""
-    return max(dephased.entropy - state.entropy, 0.0)
+    return np.maximum(dephased.entropy - state.entropy, 0.0)
 
 
 def dephase_a(rho: np.ndarray, d_a: int, d_b: int, basis: np.ndarray) -> np.ndarray:
@@ -146,22 +148,29 @@ def _optimize_degenerate_basis(dec: SpectralDecomposition, objective) -> np.ndar
 
 
 def _eigenbasis(state: BipartiteState, optimize_degenerate: bool, objective) -> np.ndarray:
-    """Eigenbasis of rho_A that the A-side dephasing uses.
+    """Eigenbasis of rho_A (of each row of a stack) that the A-side dephasing uses.
 
     A nondegenerate marginal fixes it up to phases. A degenerate one raises
     DegenerateMarginal unless ``optimize_degenerate`` is set; then
-    ``objective(basis)`` is minimized over the degenerate blocks.
+    ``objective(rho, basis)`` is minimized over the degenerate blocks, one
+    flagged row at a time.
     """
     dec = state.marginal_eig
-    if not dec.degenerate:
+    if not dec.degenerate.any():
         return dec.eigenvectors
     if not optimize_degenerate:
+        label, idx = first_bad_row("rho_A", dec.degenerate)
+        row = dec[idx]
         raise DegenerateMarginal(
-            f"rho_A is degenerate (min gap {dec.min_gap:.3e}); blocks "
-            f"{dec.degenerate_blocks}",
-            blocks=dec.degenerate_blocks,
+            f"{label} is degenerate (min gap {row.min_gap:.3e}); blocks "
+            f"{row.degenerate_blocks}",
+            blocks=row.degenerate_blocks,
         )
-    return _optimize_degenerate_basis(dec, objective)
+    basis = dec.eigenvectors.copy()
+    for idx in map(tuple, np.argwhere(dec.degenerate)):
+        rho = state.rho[idx]
+        basis[idx] = _optimize_degenerate_basis(dec[idx], lambda b: objective(rho, b))
+    return basis
 
 
 def pi_a(state: BipartiteState, optimize_degenerate: bool = False) -> PiResult:
@@ -171,16 +180,21 @@ def pi_a(state: BipartiteState, optimize_degenerate: bool = False) -> PiResult:
     the result is deterministic. A degenerate marginal raises
     DegenerateMarginal unless ``optimize_degenerate`` is set, in which case
     the entropy of the dephased state is minimized over the eigenbases
-    spanning each degenerate block.
+    spanning each degenerate block. A stack of states is dephased as one
+    stack; only its degenerate rows are optimized one by one.
     """
     d_a, d_b = state.dim_a, state.dim_b
     basis = _eigenbasis(
         state,
         optimize_degenerate,
-        lambda b: spectrum_entropy(np.linalg.eigvalsh(blocks_a(state.rho, d_a, d_b, b))),
+        lambda rho, b: spectrum_entropy(
+            np.linalg.eigvalsh(blocks_a(rho, d_a, d_b, b)).reshape(-1)
+        ),
     )
     dephased = dephase_a(state.rho, d_a, d_b, basis)
-    dephased = BipartiteState((dephased + dephased.conj().T) / 2.0, d_a, d_b)
+    dephased = BipartiteState(
+        (dephased + dephased.conj().swapaxes(-1, -2)) / 2.0, d_a, d_b
+    )
     return PiResult(
         dephased=dephased,
         basis_used=basis,
@@ -194,23 +208,31 @@ def diagonal_discord(state: BipartiteState, optimize_degenerate: bool = False) -
     return pi_a(state, optimize_degenerate).value
 
 
+def _marginal_entropies(state: BipartiteState) -> float:
+    """S(rho_A) + S(rho_B), S(rho_A) from the kept marginal decomposition."""
+    return max(spectrum_entropy(state.marginal_eig.eigenvalues), 0.0) + von_neumann_entropy(
+        ptrace_a(state.rho, state.dim_a, state.dim_b)
+    )
+
+
 def mutual_information(state: BipartiteState) -> float:
     """I(A:B) = S(rho_A) + S(rho_B) - S(rho_AB) in bits."""
-    val = (
-        von_neumann_entropy(ptrace_b(state.rho, state.dim_a, state.dim_b))
-        + von_neumann_entropy(ptrace_a(state.rho, state.dim_a, state.dim_b))
-        - state.entropy
-    )
-    return max(val, 0.0)
+    return max(_marginal_entropies(state) - state.entropy, 0.0)
 
 
 def diagonal_discord_via_mi(
     state: BipartiteState, optimize_degenerate: bool = False
 ) -> float:
-    """I(rho) - I(pi_A(rho)); equals diagonal_discord since pi_A keeps marginals."""
+    """I(rho) - I(pi_A(rho)); equals diagonal_discord since pi_A keeps marginals.
+
+    Both marginals are the same before and after pi_A, so their entropies
+    are computed once, S(rho_A) from the marginal decomposition pi_A uses.
+    """
     res = pi_a(state, optimize_degenerate)
-    val = mutual_information(state) - mutual_information(res.dephased)
-    return max(val, 0.0)
+    marginals = _marginal_entropies(state)
+    before = max(marginals - state.entropy, 0.0)
+    after = max(marginals - res.dephased.entropy, 0.0)
+    return max(before - after, 0.0)
 
 
 def generalized_discord(
@@ -230,10 +252,10 @@ def generalized_discord(
         raise TypeError(f"unsupported distance measure {delta!r}")
     d_a, d_b = state.dim_a, state.dim_b
 
-    def distance(basis: np.ndarray) -> float:
-        return schatten_norm(state.rho - dephase_a(state.rho, d_a, d_b, basis), delta.p)
+    def distance(rho: np.ndarray, basis: np.ndarray) -> float:
+        return schatten_norm(rho - dephase_a(rho, d_a, d_b, basis), delta.p)
 
-    return distance(_eigenbasis(state, optimize_degenerate, distance))
+    return distance(state.rho, _eigenbasis(state, optimize_degenerate, distance))
 
 
 def pi_multi(state: MultipartiteState, parties) -> MultipartiteState:

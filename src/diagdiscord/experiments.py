@@ -32,6 +32,8 @@ from .errors import (
 from .linalg import trace_norm
 from .states import (
     BipartiteState,
+    ginibre,
+    ginibre_density,
     sample_nondegenerate,
     sample_random_bipartite,
     sample_x_params,
@@ -58,6 +60,9 @@ CONTINUITY_DIRECTION_BUDGET = 1000
 #: beyond its trials; none of 6840 draws was rejected in classify sweeps at
 #: d_A = 2, 3 and 4 (3 seeds, 3 channels per class, 40 trials).
 MONO_DEGENERATE_BUDGET = 1000
+#: samples run_monotonicity takes through the stacked kernels at once; keeps
+#: the stack of a long run to a few MB
+MONO_STACK = 4096
 
 
 @dataclass
@@ -207,7 +212,15 @@ def run_monotonicity(
     seed: int,
     rank: int = 4,
 ) -> ExperimentRecord:
-    """Diagonal discord before vs after a local qubit channel on random states."""
+    """Diagonal discord before vs after a local qubit channel on random states.
+
+    Sample i draws its state from its own generator ``sample_rng(seed, i)``;
+    a sample whose first draw has a degenerate A-marginal is drawn again by
+    ``sample_nondegenerate`` from a fresh copy of that generator, which
+    rejects the same first draw. The states then go through ``pi_a`` and
+    the channel as stacks of up to MONO_STACK rows; a channel output with a
+    degenerate marginal is optimized row by row.
+    """
     seed = _check_seed(seed)
     name, channel = resolve_channel(channel_spec)
     if channel.dim != 2:
@@ -215,18 +228,31 @@ def run_monotonicity(
     if samples < 1:
         raise OutOfRange("samples must be >= 1")
 
-    def one(i: int):
-        rng = sample_rng(seed, i)
-        state, resampled = sample_nondegenerate(rng, 2, 2, rank)
-        before = diagonal_discord(state)
-        after = pi_a(channel.apply_local_a(state), optimize_degenerate=True)
-        return (before, after.value), resampled, after.degenerate
+    def stack(first: int, stop: int):
+        g = np.stack([ginibre(sample_rng(seed, i), 4, rank) for i in range(first, stop)])
+        rhos = ginibre_density(g)
+        states = BipartiteState(rhos, 2, 2)
+        resampled = np.zeros(stop - first)
+        redraw = np.flatnonzero(states.marginal_eig.degenerate)
+        for k in redraw:  # that sample's draws again, one at a time
+            state, resampled[k] = sample_nondegenerate(sample_rng(seed, first + k), 2, 2, rank)
+            rhos[k] = state.rho
+        if len(redraw):
+            states = BipartiteState(rhos, 2, 2)
+        after = pi_a(channel.apply_local_a(states), optimize_degenerate=True)
+        rows = np.stack([pi_a(states).value, after.value], axis=-1)
+        return rows, resampled, after.degenerate
 
-    results = [one(i) for i in range(samples)]
-    rows = np.array([r[0] for r in results], dtype=float)
+    rows, resampled, degenerate = (
+        np.concatenate(parts)
+        for parts in zip(*(
+            stack(first, min(first + MONO_STACK, samples))
+            for first in range(0, samples, MONO_STACK)
+        ))
+    )
     counters = {
-        "resampled_degenerate": float(sum(r[1] for r in results)),
-        "degenerate_outputs": float(sum(1 for r in results if r[2])),
+        "resampled_degenerate": float(resampled.sum()),
+        "degenerate_outputs": float(degenerate.sum()),
     }
     record = ExperimentRecord(
         experiment_id=f"monotonicity_{name}",

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     ConvergenceFailure,
     InvalidP,
+    InvariantViolation,
     NotDensityMatrix,
     NotHermitian,
     OutOfRange,
@@ -26,120 +27,164 @@ EIG_FLOOR_TOL = 1e-10
 TRACE_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
 SUPPORT_TOL = 1e-10
+RELATIVE_ENTROPY_FLOOR_TOL = 1e-12
 
 _LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigensystem of a Hermitian matrix.
+    """Eigensystem of a Hermitian matrix, or of each matrix of a stack.
 
     eigenvalues are ascending; eigenvectors are the matching orthonormal
     columns; min_gap is the smallest difference between consecutive
     eigenvalues (0 for a degenerate spectrum, inf for a 1x1 matrix);
-    degenerate_blocks lists (start, stop) index ranges of eigenvalues that
-    coincide within the degeneracy tolerance.
+    degenerate flags a gap below the degeneracy tolerance, and
+    degenerate_blocks lists the (start, stop) index ranges of eigenvalues
+    that coincide within it. For a stack (..., d, d) every field gains the
+    leading axes: min_gap and degenerate are arrays, degenerate_blocks an
+    object array holding each row's blocks, and ``dec[i]`` is row i.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    min_gap: float
-    degenerate_blocks: tuple[tuple[int, int], ...]
+    min_gap: np.floating | np.ndarray
+    degenerate_blocks: tuple[tuple[int, int], ...] | np.ndarray
+    degenerate: np.bool_ | np.ndarray
 
-    @property
-    def degenerate(self) -> bool:
-        return bool(self.degenerate_blocks)
+    def __getitem__(self, i) -> SpectralDecomposition:
+        if isinstance(i, tuple) and not i:  # the whole stack, or the one matrix
+            return self
+        return SpectralDecomposition(
+            self.eigenvalues[i],
+            self.eigenvectors[i],
+            self.min_gap[i],
+            self.degenerate_blocks[i],
+            self.degenerate[i],
+        )
+
+
+def first_bad_row(what: str, bad) -> tuple[str, tuple]:
+    """``what`` naming the first row of a stack where ``bad`` holds, and its index.
+
+    For a single matrix (``bad`` 0-d) that is ``what`` itself and ().
+    """
+    idx = np.unravel_index(int(np.argmax(bad)), np.shape(bad))
+    return (f"{what} row {', '.join(map(str, idx))}" if idx else what), idx
+
+
+def _check_hermitian(m: np.ndarray, what: str, error: type) -> None:
+    """Raise ``error`` unless m (each row of a stack) is square, finite and Hermitian.
+
+    The checks run on the whole stack; rows are looked at only to name the
+    first failing one.
+    """
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise error(f"{what} matrix shape {m.shape} not square")
+    if not np.isfinite(m).all():
+        label, _ = first_bad_row(what, ~np.isfinite(m).all(axis=(-2, -1)))
+        raise error(f"{label} has non-finite entries")
+    dev = np.abs(m - m.conj().swapaxes(-1, -2))
+    if dev.max(initial=0.0) > HERMITICITY_TOL:
+        dev = dev.max(axis=(-2, -1))
+        label, idx = first_bad_row(what, dev > HERMITICITY_TOL)
+        raise error(f"{label} not Hermitian: deviation {dev[idx]:.3e}")
+
+
+def _degenerate_blocks(vals: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """(start, stop) ranges of ascending eigenvalues within DEGENERACY_TOL."""
+    blocks = []
+    start = 0
+    for i, gap in enumerate(np.diff(vals)):
+        if gap >= DEGENERACY_TOL:
+            if i + 1 - start > 1:
+                blocks.append((start, i + 1))
+            start = i + 1
+    if len(vals) - start > 1:
+        blocks.append((start, len(vals)))
+    return tuple(blocks)
 
 
 def hermitian_eig(m) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix with a fixed phase convention.
+    """Eigendecomposition of a Hermitian matrix (..., d, d) with a fixed phase convention.
 
     Each eigenvector is rescaled so that its largest-magnitude entry is real
     and positive, which makes the output deterministic for identical input
-    bits (up to the underlying LAPACK determinism).
+    bits (up to the underlying LAPACK determinism). Every row of a stack
+    equals the decomposition of that matrix alone, bit for bit.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise NotHermitian("matrix has non-finite entries")
-    dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if dev > HERMITICITY_TOL:
-        raise NotHermitian(f"|m - m^dag| = {dev:.3e} exceeds {HERMITICITY_TOL}")
+    _check_hermitian(m, "matrix", NotHermitian)
     try:
         vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    vals = vals.real
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if abs(pivot) > 0.0:
-            vecs[:, k] = col * (pivot.conjugate() / abs(pivot))
+    pivot_row = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
+    pivot = np.take_along_axis(vecs, pivot_row, axis=-2)
+    # hypot, not np.abs: it rounds as the scalar abs() of a complex does
+    size = np.hypot(pivot.real, pivot.imag)
+    nonzero = size > 0.0
+    vecs = vecs * np.where(nonzero, pivot.conj() / np.where(nonzero, size, 1.0), 1.0)
 
-    d = len(vals)
-    if d < 2:
-        min_gap = math.inf
-        blocks: list[tuple[int, int]] = []
+    min_gap = np.diff(vals, axis=-1).min(axis=-1, initial=math.inf)
+    degenerate = min_gap < DEGENERACY_TOL
+    if vals.ndim == 1:
+        blocks = _degenerate_blocks(vals) if degenerate else ()
     else:
-        diffs = np.diff(vals)
-        min_gap = float(diffs.min())
-        blocks = []
-        start = 0
-        for i, gap in enumerate(diffs):
-            if gap >= DEGENERACY_TOL:
-                if i + 1 - start > 1:
-                    blocks.append((start, i + 1))
-                start = i + 1
-        if d - start > 1:
-            blocks.append((start, d))
-    return SpectralDecomposition(vals, vecs, min_gap, tuple(blocks))
+        blocks = np.empty(degenerate.shape, dtype=object)
+        blocks.fill(())
+        for idx in zip(*np.nonzero(degenerate)):
+            blocks[idx] = _degenerate_blocks(vals[idx])
+    return SpectralDecomposition(vals, vecs, min_gap, blocks, degenerate)
 
 
 def density_eigenvalues(rho, what: str = "state") -> np.ndarray:
-    """Eigenvalues of a density matrix, validated, ascending and unclamped.
+    """Eigenvalues of a density matrix (..., d, d), validated, ascending and unclamped.
 
     This is the package's one density check: finite, Hermitian, no
     eigenvalue below -EIG_FLOOR_TOL, unit trace. Entries in
     [-EIG_FLOOR_TOL, 0) are returned as they are; ``spectrum_entropy``
-    ignores them. ``what`` names the matrix in the NotDensityMatrix message.
+    ignores them. ``what`` names the matrix in the NotDensityMatrix message,
+    together with the first failing row of a stack. Each check runs on the
+    whole stack; rows are looked at only to name a failing one.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise NotDensityMatrix(f"{what} matrix shape {rho.shape} not square")
-    if not np.isfinite(rho).all():
-        raise NotDensityMatrix(f"{what} has non-finite entries")
-    dev = np.max(np.abs(rho - rho.conj().T))
-    if dev > HERMITICITY_TOL:
-        raise NotDensityMatrix(f"{what} not Hermitian: deviation {dev:.3e}")
+    _check_hermitian(rho, what, NotDensityMatrix)
     vals = np.linalg.eigvalsh(rho)
-    if vals[0] < -EIG_FLOOR_TOL:
-        raise NotDensityMatrix(f"{what} has negative eigenvalue {vals[0]:.3e}")
-    tr = float(vals.sum())
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise NotDensityMatrix(f"{what} trace {tr!r} != 1")
+    lowest = vals[..., 0]
+    if lowest.min(initial=0.0) < -EIG_FLOOR_TOL:
+        label, idx = first_bad_row(what, lowest < -EIG_FLOOR_TOL)
+        raise NotDensityMatrix(f"{label} has negative eigenvalue {lowest[idx]:.3e}")
+    tr = vals.sum(axis=-1)
+    off = np.abs(tr - 1.0)
+    if off.max(initial=0.0) > TRACE_TOL:
+        label, idx = first_bad_row(what, off > TRACE_TOL)
+        raise NotDensityMatrix(f"{label} trace {float(tr[idx])!r} != 1")
     return vals
 
 
-def spectrum_entropy(vals: np.ndarray) -> float:
-    """-sum v log2 v over the positive entries of an eigenvalue array (bits)."""
-    vals = vals[vals > 0.0]
-    if len(vals) == 0:
-        return 0.0
-    return float(-(vals * np.log(vals)).sum() / _LN2)
+def spectrum_entropy(vals: np.ndarray):
+    """-sum v log2 v over the positive entries of an eigenvalue array (bits).
+
+    A stack of spectra (..., d) gives one entropy per row.
+    """
+    safe = np.where(vals > 0.0, vals, 1.0)  # 1 log 1 = 0 drops the rest
+    return -(safe * np.log(safe)).sum(axis=-1) / _LN2
 
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -tr rho log2 rho in bits, with 0 log 0 := 0."""
-    return max(spectrum_entropy(density_eigenvalues(rho)), 0.0)
+    return np.maximum(spectrum_entropy(density_eigenvalues(rho)), 0.0)
 
 
 def relative_entropy(rho, sigma) -> float:
     """S(rho || sigma) = tr rho (log2 rho - log2 sigma) in bits.
 
     Raises SupportViolation when rho has weight outside the support of
-    sigma (the divergence is +inf there).
+    sigma (the divergence is +inf there). The value is never negative
+    (Klein's inequality): round-off down to -RELATIVE_ENTROPY_FLOOR_TOL is
+    clamped to 0, and anything lower raises InvariantViolation, since it
+    means the two spectra were not computed consistently.
     """
     rho_vals = density_eigenvalues(rho)
     density_eigenvalues(sigma, "sigma")
@@ -160,7 +205,11 @@ def relative_entropy(rho, sigma) -> float:
         (overlaps[keep] * np.log(svals[keep])).sum() / _LN2
     )
     value = tr_rho_log_rho - tr_rho_log_sigma
-    return max(value, 0.0) if value > -1e-12 else value
+    if value < -RELATIVE_ENTROPY_FLOOR_TOL:
+        raise InvariantViolation(
+            f"relative entropy {value:.3e} < 0 breaks Klein's inequality"
+        )
+    return max(value, 0.0)
 
 
 def schatten_norm(m, p) -> float:

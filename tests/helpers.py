@@ -83,3 +83,42 @@ def reference_optimized_discord_2q(state):
     phi_e = float(np.angle(v[1]) - np.angle(v[0]))
     best = min(best, float(res.fun), _conditional_entropy_at(rho, theta_e, phi_e))
     return max(spectrum_entropy(state.marginal_eig.eigenvalues) - state.entropy + best, 0.0)
+
+
+def reference_sample_x_params(rng):
+    """(params, attempts): one uniform candidate per draw, tested by scalar arithmetic.
+
+    Written out independently of the package's block sampler, with the same
+    candidate test and the same order of operations.
+    """
+    from diagdiscord.states import X_PARAMS_BUDGET, XStateParams
+
+    s2, s6 = np.sqrt(2.0), np.sqrt(6.0)
+    for attempts in range(1, X_PARAMS_BUDGET + 1):
+        r6, r8, r9, r15 = rng.uniform(-1.0, 1.0, size=4)
+        if r6 * r6 + 4.0 * r8 * r8 + r9 * r9 + r15 * r15 > 1.0:
+            continue
+        a = (1.0 + 4.0 * s2 * r8 + r15) / 4.0
+        b = (1.0 - 2.0 * s2 * r8 + r15) / 4.0
+        d = (1.0 - 3.0 * r15) / 4.0
+        w = s6 * r9 / 4.0
+        z = s6 * r6 / 4.0
+        if b >= abs(z) and a >= 0.0 and d >= 0.0 and a * d >= w * w:
+            return XStateParams(r6, r8, r9, r15), attempts
+    raise AssertionError("no valid X-state within the budget")
+
+
+def reference_monotonicity(channel, samples, seed, rank=4):
+    """(rows, resampled, degenerate outputs) of the monotonicity scan, one sample at a time."""
+    from diagdiscord import discord as dd
+    from diagdiscord import experiments as ex
+    from diagdiscord.states import sample_nondegenerate
+
+    rows, resampled, degenerate = [], 0, 0
+    for i in range(samples):
+        state, rejected = sample_nondegenerate(ex.sample_rng(seed, i), 2, 2, rank)
+        after = dd.pi_a(channel.apply_local_a(state), optimize_degenerate=True)
+        rows.append((dd.diagonal_discord(state), after.value))
+        resampled += rejected
+        degenerate += bool(after.degenerate)
+    return np.array(rows), resampled, degenerate

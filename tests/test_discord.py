@@ -186,6 +186,19 @@ class TestDiscordViaMutualInformation:
             bell_state(), optimize_degenerate=True
         ) == pytest.approx(1.0, abs=1e-9)
 
+    def test_each_marginal_is_decomposed_once(self, monkeypatch):
+        s = random_state(np.random.default_rng(11), 2, 3)
+        calls = {"eigh": [], "eigvalsh": []}
+        for name, seen in calls.items():
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda m, solver=solver, seen=seen: (seen.append(m.shape), solver(m))[1]
+            )
+        dd.diagonal_discord_via_mi(s)
+        marginal = {(2, 2), (3, 3)}
+        assert sum(shape in marginal for shape in calls["eigvalsh"]) <= 1
+        assert sum(shape in marginal for shape in calls["eigh"]) <= 1
+
 
 class TestGeneralizedDiscord:
     def test_classical_quantum_zero_for_all_measures(self):

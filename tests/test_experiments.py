@@ -4,6 +4,18 @@ import pytest
 from diagdiscord import channels as ch
 from diagdiscord import experiments as ex
 from diagdiscord.errors import OutOfRange
+from helpers import reference_monotonicity
+
+
+class _MixedFirstDraw:
+    """A generator whose first Ginibre draw is G = I: the state I/4, with a degenerate marginal."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._first = [np.eye(4), np.zeros((4, 4))]  # real part, then imaginary part
+
+    def normal(self, size=None):
+        return self._first.pop(0) if self._first else self._rng.normal(size=size)
 
 
 class TestMonotonicity:
@@ -37,6 +49,49 @@ class TestMonotonicity:
     def test_unknown_builtin(self):
         with pytest.raises(OutOfRange):
             ex.run_monotonicity("fig9z", samples=5, seed=0)
+
+    @pytest.mark.parametrize("case", ["fig2a", "depolarizing", "redrawn"])
+    def test_stack_matches_the_per_sample_path(self, case, monkeypatch):
+        channel = ex.resolve_channel("fig2a")[1]
+        if case == "depolarizing":  # every output has the degenerate marginal I/2
+            channel = ch.IsotropicChannel(1.0, np.eye(2, dtype=complex))
+        if case == "redrawn":  # samples 2 and 5 reject their first draw
+            sample_rng = ex.sample_rng
+            monkeypatch.setattr(ex, "sample_rng", lambda seed, i: (
+                _MixedFirstDraw(sample_rng(seed, i)) if i in (2, 5) else sample_rng(seed, i)
+            ))
+        rec = ex.run_monotonicity(channel, samples=8, seed=22)
+        rows, resampled, degenerate = reference_monotonicity(channel, 8, 22)
+        assert np.max(np.abs(rec.rows - rows)) <= 1e-14
+        assert rec.summary["resampled_degenerate"] == resampled
+        assert rec.summary["degenerate_outputs"] == degenerate
+        assert (resampled, degenerate) == {
+            "fig2a": (0, 0), "depolarizing": (0, 8), "redrawn": (2, 0)
+        }[case]
+
+    def test_stack_size_does_not_change_the_record(self, monkeypatch):
+        whole = ex.run_monotonicity("fig2b", samples=20, seed=24)
+        monkeypatch.setattr(ex, "MONO_STACK", 7)
+        parts = ex.run_monotonicity("fig2b", samples=20, seed=24)
+        assert np.array_equal(whole.rows, parts.rows)
+        assert whole.summary == parts.summary
+
+    def test_eigensolver_calls_do_not_grow_with_samples(self, monkeypatch):
+        # the samples go through the eigensolvers as stacks, not one by one
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda m, solver=solver: (calls.append(1), solver(m))[1]
+            )
+        counts = []
+        for samples in (50, 500):
+            calls.clear()
+            rec = ex.run_monotonicity("fig2a", samples=samples, seed=23)
+            assert rec.summary["resampled_degenerate"] == 0
+            assert rec.summary["degenerate_outputs"] == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_summary_recomputable(self):
         rec = ex.run_monotonicity("fig2a", samples=30, seed=6)

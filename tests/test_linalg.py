@@ -6,6 +6,7 @@ import pytest
 from diagdiscord import linalg as la
 from diagdiscord.errors import (
     InvalidP,
+    InvariantViolation,
     NotDensityMatrix,
     NotHermitian,
     OutOfRange,
@@ -49,6 +50,32 @@ class TestHermitianEig:
                 pivot = col[int(np.argmax(np.abs(col)))]
                 assert pivot.imag == pytest.approx(0.0, abs=1e-12)
                 assert pivot.real > 0
+
+    def test_phase_convention_equals_the_column_loop(self):
+        # the vectorized phase convention, on one matrix and on a stack,
+        # rescales each column exactly as a loop over the columns does
+        rng = np.random.default_rng(12)
+        for d in range(1, 9):
+            stack = np.stack([random_hermitian(rng, d) for _ in range(5)])
+            dec = la.hermitian_eig(stack)
+            for m, vecs in zip(stack, dec.eigenvectors):
+                expected = np.linalg.eigh(m)[1]
+                for k in range(d):
+                    col = expected[:, k]
+                    pivot = col[int(np.argmax(np.abs(col)))]
+                    if abs(pivot) > 0.0:
+                        expected[:, k] = col * (pivot.conjugate() / abs(pivot))
+                assert np.array_equal(vecs, expected)
+                assert np.array_equal(la.hermitian_eig(m).eigenvectors, expected)
+
+    def test_stack_names_the_bad_row(self):
+        stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)])
+        with pytest.raises(NotHermitian, match="matrix row 1 not Hermitian"):
+            la.hermitian_eig(stack)
+        dec = la.hermitian_eig(np.stack([np.eye(2), np.diag([0.2, 0.8])]))
+        assert list(dec.degenerate) == [True, False]
+        assert list(dec.degenerate_blocks) == [((0, 2),), ()]
+        assert dec[1].min_gap == pytest.approx(0.6)
 
     def test_not_hermitian_raises(self):
         with pytest.raises(NotHermitian):
@@ -145,6 +172,19 @@ class TestRelativeEntropy:
     def test_support_violation(self):
         with pytest.raises(SupportViolation):
             la.relative_entropy(np.eye(2) / 2, np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("error, raises", [(1e-13, False), (1e-6, True)])
+    def test_negative_value_is_clamped_or_raised(self, monkeypatch, error, raises):
+        # an entropy kernel that overstates S(rho) by `error` drives the
+        # value of S(rho || rho) to -error: round-off is clamped, more raises
+        exact = la.spectrum_entropy
+        monkeypatch.setattr(la, "spectrum_entropy", lambda vals: exact(vals) + error)
+        rho = np.diag([0.9, 0.1])
+        if raises:
+            with pytest.raises(InvariantViolation, match="Klein"):
+                la.relative_entropy(rho, rho)
+        else:
+            assert la.relative_entropy(rho, rho) == 0.0
 
 
 class TestSchattenNorm:

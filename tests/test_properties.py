@@ -1,4 +1,4 @@
-"""Property tests of the shared kernels and of the optimized two-qubit discord.
+"""Property tests of the shared kernels, their stacked form and the optimized two-qubit discord.
 
 Hypothesis runs derandomized, so the suite draws the same examples on
 every run.
@@ -7,11 +7,15 @@ every run.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
+from diagdiscord import channels as ch
 from diagdiscord import discord as dd
+from diagdiscord import linalg as la
 from diagdiscord import states as st
+from diagdiscord.errors import DegenerateMarginal, NotDensityMatrix
 from diagdiscord.linalg import hermitian_eig, von_neumann_entropy
 from helpers import haar, random_density
 
@@ -131,3 +135,118 @@ def test_pure_product_states_have_no_optimized_discord(seed):
     s = st.BipartiteState(np.outer(psi, psi.conj()), 2, 2)
     [res] = dd.optimized_discord_2q([s])
     assert res.value <= 1e-9
+
+
+# --- stacked kernels: row i of a stack is the kernel applied to row i ---------
+
+STACKS = hs.tuples(hs.sampled_from([2, 3, 4]), hs.sampled_from([1, 2, 3]), hs.integers(1, 8))
+
+
+def _close(a, b, tol=1e-14):
+    return np.max(np.abs(np.asarray(a) - np.asarray(b)), initial=0.0) <= tol
+
+
+def _random_stack(rng, d, n):
+    return np.stack([random_density(rng, d) for _ in range(n)])
+
+
+@SETTINGS
+@given(seed=SEEDS, shape=STACKS)
+def test_stacked_kernels_equal_their_single_matrix_calls(seed, shape):
+    d_a, d_b, n = shape
+    rng = np.random.default_rng(seed)
+    rhos = _random_stack(rng, d_a * d_b, n)
+    bases = np.stack([haar(rng, d_a) for _ in range(n)])
+    op = haar(rng, d_a) * rng.uniform(size=d_a)
+    vals = la.density_eigenvalues(rhos)
+    entropies = la.spectrum_entropy(vals)
+    marginals = st.ptrace_b(rhos, d_a, d_b)
+    dec = la.hermitian_eig(marginals)
+    blocks = st.blocks_a(rhos, d_a, d_b, bases)
+    shared = st.blocks_a(rhos, d_a, d_b, bases[0])
+    rebuilt = st.from_blocks_a(bases, blocks)
+    conjugated = st.conjugate_a(op, rhos, d_a, d_b)
+    channels = (
+        ch.random_mixed_unitary(rng, d_a),
+        ch.random_kraus_channel(rng, d_a),
+        ch.random_isotropic(rng, d_a),
+        ch.random_isotropic(rng, d_a, antiunitary=True),
+        ch.random_semiclassical(rng, d_a),
+    )
+    lifts = [c.lift_a(rhos, d_a, d_b) for c in channels]
+    for i, rho in enumerate(rhos):
+        assert _close(vals[i], la.density_eigenvalues(rho))
+        assert _close(entropies[i], la.spectrum_entropy(vals[i]))
+        one = la.hermitian_eig(marginals[i])
+        assert _close(dec.eigenvalues[i], one.eigenvalues)
+        assert _close(dec.eigenvectors[i], one.eigenvectors)
+        assert dec.min_gap[i] == one.min_gap
+        assert dec.degenerate[i] == one.degenerate
+        assert dec.degenerate_blocks[i] == one.degenerate_blocks
+        assert _close(blocks[i], st.blocks_a(rho, d_a, d_b, bases[i]))
+        assert _close(shared[i], st.blocks_a(rho, d_a, d_b, bases[0]))
+        assert _close(rebuilt[i], st.from_blocks_a(bases[i], blocks[i]))
+        assert _close(conjugated[i], st.conjugate_a(op, rho, d_a, d_b))
+        for channel, lift in zip(channels, lifts):
+            assert _close(lift[i], channel.lift_a(rho, d_a, d_b))
+
+
+@SETTINGS
+@given(seed=SEEDS, shape=STACKS)
+def test_stacked_states_and_pi_a_equal_their_rows(seed, shape):
+    d_a, d_b, n = shape
+    rng = np.random.default_rng(seed)
+    states = st.BipartiteState(_random_stack(rng, d_a * d_b, n), d_a, d_b)
+    assume(not states.marginal_eig.degenerate.any())
+    res = dd.pi_a(states)
+    for i, rho in enumerate(states.rho):
+        one = dd.pi_a(st.BipartiteState(rho, d_a, d_b))
+        assert _close(states.entropy[i], von_neumann_entropy(rho))
+        assert _close(res.dephased.rho[i], one.dephased.rho)
+        assert _close(res.value[i], one.value)
+        assert res.degenerate[i] == one.degenerate
+
+
+@SETTINGS
+@given(seed=SEEDS, shape=STACKS, where=hs.floats(0.0, 1.0, exclude_max=True))
+def test_a_non_density_row_is_named(seed, shape, where):
+    d_a, d_b, n = shape
+    rng = np.random.default_rng(seed)
+    rhos = _random_stack(rng, d_a * d_b, n)
+    bad = int(where * n)
+    u = haar(rng, d_a * d_b)
+    spectrum = np.zeros(d_a * d_b)
+    spectrum[:2] = 1.5, -0.5  # unit trace, one negative eigenvalue
+    rhos[bad] = (u * spectrum) @ u.conj().T
+    with pytest.raises(NotDensityMatrix, match=f"state row {bad} has negative eigenvalue"):
+        st.BipartiteState(rhos, d_a, d_b)
+
+
+def _mixed_marginal_state(rng, d_b):
+    """A random 2 x d_b state whose A-marginal is I/2, so degenerate."""
+    if d_b == 1:
+        return np.eye(2, dtype=complex) / 2.0
+    phi = np.zeros(2 * d_b, dtype=complex)
+    phi[0] = phi[d_b + 1] = 1.0 / math.sqrt(2.0)
+    p = rng.uniform()
+    rho = p * np.outer(phi, phi) + (1.0 - p) * np.kron(np.eye(2) / 2.0, random_density(rng, d_b))
+    u = np.kron(haar(rng, 2), haar(rng, d_b))
+    return u @ rho @ u.conj().T
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(seed=SEEDS, d_b=hs.sampled_from([1, 2, 3]), n=hs.integers(1, 8),
+       where=hs.floats(0.0, 1.0, exclude_max=True))
+def test_a_degenerate_row_is_optimized_alone(seed, d_b, n, where):
+    rng = np.random.default_rng(seed)
+    rhos = _random_stack(rng, 2 * d_b, n)
+    bad = int(where * n)
+    rhos[bad] = _mixed_marginal_state(rng, d_b)
+    states = st.BipartiteState(rhos, 2, d_b)
+    with pytest.raises(DegenerateMarginal, match=f"row {bad}"):
+        dd.pi_a(states)
+    res = dd.pi_a(states, optimize_degenerate=True)
+    for i, rho in enumerate(rhos):
+        one = dd.pi_a(st.BipartiteState(rho, 2, d_b), optimize_degenerate=(i == bad))
+        assert res.degenerate[i] == one.degenerate == (i == bad)
+        assert _close(res.value[i], one.value)
