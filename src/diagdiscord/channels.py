@@ -333,6 +333,31 @@ def _dephase_in_marginal_basis(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarra
     return dephase_a(rho, d_a, d_b, dec.eigenvectors)
 
 
+def _scan_inputs(channel: QuantumChannel, trials: int, rng, d_b: int):
+    """The trials' random states as one stack, and each row's classical-quantum image.
+
+    The states are drawn by one ``sample_nondegenerate`` stack, so the
+    generator feeds them as it would feed ``trials`` calls one at a time.
+    """
+    if trials < 1:
+        raise OutOfRange("trials must be >= 1")
+    d_a = channel.dim
+    states, _ = sample_nondegenerate(rng, d_a, d_b, size=trials)
+    cq = dephase_a(states.rho, d_a, d_b, states.marginal_eig.eigenvectors)
+    return states, cq
+
+
+def _report(deviations: np.ndarray, witness) -> ChannelReport:
+    """Report of a scan: the first largest deviation, and past COMMUTE_TOL ``witness(row)``."""
+    k = int(np.argmax(deviations))
+    max_dev = float(deviations[k])
+    return ChannelReport(
+        max_deviation=max_dev,
+        witness=witness(k) if max_dev > COMMUTE_TOL else None,
+        trials=len(deviations),
+    )
+
+
 def commutes_with_pi(
     channel: QuantumChannel,
     trials: int,
@@ -344,26 +369,16 @@ def commutes_with_pi(
     Compares dephasing-then-channel against channel-then-dephasing in trace
     norm over random full-rank inputs with nondegenerate A-marginals. A max
     deviation <= 1e-9 is consistent with membership in the commuting class.
+    The trials run as one stack; the witness is the first state with the
+    largest deviation.
     """
-    if trials < 1:
-        raise OutOfRange("trials must be >= 1")
+    states, cq = _scan_inputs(channel, trials, rng, d_b)
     d_a = channel.dim
-    max_dev = 0.0
-    witness = None
-    for _ in range(trials):
-        state, _ = sample_nondegenerate(rng, d_a, d_b)
-        out = apply_local_a_raw(channel, state.rho, d_a, d_b)
-        lhs = _dephase_in_marginal_basis(out, d_a, d_b)
-        cq = dephase_a(state.rho, d_a, d_b, state.marginal_eig.eigenvectors)
-        rhs = apply_local_a_raw(channel, cq, d_a, d_b)
-        dev = trace_norm(lhs - rhs)
-        if dev > max_dev:
-            max_dev = dev
-            witness = state
-    return ChannelReport(
-        max_deviation=max_dev,
-        witness=witness if max_dev > COMMUTE_TOL else None,
-        trials=trials,
+    out = apply_local_a_raw(channel, states.rho, d_a, d_b)
+    lhs = _dephase_in_marginal_basis(out, d_a, d_b)
+    rhs = apply_local_a_raw(channel, cq, d_a, d_b)
+    return _report(
+        trace_norm(lhs - rhs), lambda k: BipartiteState(states.rho[k], d_a, d_b)
     )
 
 
@@ -377,25 +392,16 @@ def is_discord_nongenerating(
 
     Each trial dephases a random state (producing a classical-quantum
     input), applies the channel locally, and measures how far the output is
-    from its own dephased image in trace norm.
+    from its own dephased image in trace norm. The trials run as one stack;
+    the witness is the first classical-quantum input with the largest
+    deviation.
     """
-    if trials < 1:
-        raise OutOfRange("trials must be >= 1")
+    _, cq = _scan_inputs(channel, trials, rng, d_b)
     d_a = channel.dim
-    max_dev = 0.0
-    witness = None
-    for _ in range(trials):
-        state, _ = sample_nondegenerate(rng, d_a, d_b)
-        cq = dephase_a(state.rho, d_a, d_b, state.marginal_eig.eigenvectors)
-        out = apply_local_a_raw(channel, cq, d_a, d_b)
-        dev = trace_norm(_dephase_in_marginal_basis(out, d_a, d_b) - out)
-        if dev > max_dev:
-            max_dev = dev
-            witness = BipartiteState((cq + cq.conj().T) / 2.0, d_a, d_b)
-    return ChannelReport(
-        max_deviation=max_dev,
-        witness=witness if max_dev > COMMUTE_TOL else None,
-        trials=trials,
+    out = apply_local_a_raw(channel, cq, d_a, d_b)
+    return _report(
+        trace_norm(_dephase_in_marginal_basis(out, d_a, d_b) - out),
+        lambda k: BipartiteState((cq[k] + cq[k].conj().T) / 2.0, d_a, d_b),
     )
 
 

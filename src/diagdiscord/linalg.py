@@ -212,18 +212,24 @@ def relative_entropy(rho, sigma) -> float:
     return max(value, 0.0)
 
 
-def schatten_norm(m, p) -> float:
-    """Schatten p-norm (sum_i sigma_i^p)^(1/p); p=inf is the operator norm."""
+def schatten_norm(m, p):
+    """Schatten p-norm (sum_i sigma_i^p)^(1/p); p=inf is the operator norm.
+
+    A stack (..., d, d) gives one norm per row, each equal to the norm of
+    that matrix alone, bit for bit; a single matrix gives a float.
+    """
     if not (p == math.inf or p >= 1.0):
         raise InvalidP(f"p must be >= 1 or inf, got {p}")
     m = np.asarray(m, dtype=complex)
     sing = np.linalg.svd(m, compute_uv=False)
-    top = float(sing.max(initial=0.0))
-    if top == 0.0:
-        return 0.0
+    top = sing.max(axis=-1, initial=0.0)
     if p == math.inf:
-        return top
-    return top * float(np.power(np.power(sing / top, p).sum(), 1.0 / p))
+        norm = top
+    else:
+        # a zero row stays 0: its singular values are divided by 1, not by 0
+        scale = np.where(top > 0.0, top, 1.0)[..., None]
+        norm = top * np.power(np.power(sing / scale, p).sum(axis=-1), 1.0 / p)
+    return float(norm) if m.ndim == 2 else norm
 
 
 def binary_entropy(x: float) -> float:
@@ -240,6 +246,6 @@ def kron(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def trace_norm(m) -> float:
-    """Schatten-1 norm."""
+def trace_norm(m):
+    """Schatten-1 norm, of each row of a stack (..., d, d)."""
     return schatten_norm(m, 1.0)

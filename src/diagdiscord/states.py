@@ -327,13 +327,23 @@ def sample_x_state(rng: np.random.Generator) -> BipartiteState:
     return x_state_from_params(sample_x_params(rng))
 
 
-def ginibre(rng: np.random.Generator, d: int, rank: int | None = None) -> np.ndarray:
-    """A d x rank complex Ginibre matrix: real, then imaginary parts, standard normal."""
+def ginibre(
+    rng: np.random.Generator, d: int, rank: int | None = None, size: int | None = None
+) -> np.ndarray:
+    """A d x rank complex Ginibre matrix: real, then imaginary parts, standard normal.
+
+    With ``size`` it is a stack of that many, drawn as one (size, 2, d, rank)
+    block: the generator gives the same numbers and ends in the same state as
+    ``size`` calls without it.
+    """
     if rank is None:
         rank = d
     if not 1 <= rank <= d:
         raise InvalidRank(f"rank {rank} outside 1..{d}")
-    return rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    if size is None:
+        return rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    z = rng.normal(size=(size, 2, d, rank))
+    return z[:, 0] + 1j * z[:, 1]
 
 
 def ginibre_density(g: np.ndarray) -> np.ndarray:
@@ -344,38 +354,74 @@ def ginibre_density(g: np.ndarray) -> np.ndarray:
 
 
 def sample_random_bipartite(
-    rng: np.random.Generator, d_a: int, d_b: int, rank: int | None = None
+    rng: np.random.Generator,
+    d_a: int,
+    d_b: int,
+    rank: int | None = None,
+    size: int | None = None,
 ) -> BipartiteState:
     """rho = G G^dag / tr(G G^dag) with G a (d_a d_b) x rank complex Ginibre.
 
-    Full rank gives the Hilbert-Schmidt-induced measure.
+    Full rank gives the Hilbert-Schmidt-induced measure. With ``size`` the
+    state is a stack of that many rows, drawn and validated at once; row i is
+    the state the (i+1)-th of ``size`` calls without it would return.
     """
-    return BipartiteState(ginibre_density(ginibre(rng, d_a * d_b, rank)), d_a, d_b)
+    return BipartiteState(ginibre_density(ginibre(rng, d_a * d_b, rank, size)), d_a, d_b)
 
 
-#: consecutive draws sample_nondegenerate makes before giving up. A full-rank
-#: Hilbert-Schmidt state has a degenerate A-marginal with probability zero
-#: (none in 10^4 draws at each of 2x2 ... 4x4), so running out means the
-#: requested rank forces a degenerate marginal.
+#: consecutive draws sample_nondegenerate makes for one state before giving
+#: up. A full-rank Hilbert-Schmidt state has a degenerate A-marginal with
+#: probability zero (none in 10^4 draws at each of 2x2 ... 4x4), so running
+#: out means the requested rank forces a degenerate marginal.
 NONDEGENERATE_BUDGET = 1000
 
 
 def sample_nondegenerate(
-    rng: np.random.Generator, d_a: int, d_b: int, rank: int | None = None
+    rng: np.random.Generator,
+    d_a: int,
+    d_b: int,
+    rank: int | None = None,
+    size: int | None = None,
 ) -> tuple[BipartiteState, int]:
     """Random state whose A-marginal is nondegenerate, and the draws rejected.
 
     The marginal decomposition used by the test stays cached on the state.
+    With ``size`` the state is a stack of that many rows, equal to those of
+    ``size`` calls without it, and the generator ends in the same state.
+    The rows are drawn and tested as one block. If row r of a block is
+    degenerate, the rows before it are kept, the generator is rewound to the
+    block's start and draws rows 0..r again, and the next block, of the
+    rows still missing, starts with row r's redraw, as the one-at-a-time
+    loop would.
     """
-    for rejected in range(NONDEGENERATE_BUDGET):
-        state = sample_random_bipartite(rng, d_a, d_b, rank)
-        if not state.marginal_eig.degenerate:
-            return state, rejected
-    raise OutOfDomain(
-        f"all {NONDEGENERATE_BUDGET} sampled ({d_a},{d_b}) states of rank "
-        f"{rank or d_a * d_b} had a degenerate A-marginal (acceptance rate 0; "
-        f"gap below {DEGENERACY_TOL}); choose a larger rank"
-    )
+    parts, rejected, streak = [], 0, 0
+    need = 1 if size is None else size
+    while True:
+        start = rng.bit_generator.state if need > 1 else None  # one row is never rewound
+        state = sample_random_bipartite(
+            rng, d_a, d_b, rank, None if size is None else need
+        )
+        bad = np.flatnonzero(state.marginal_eig.degenerate)
+        if not len(bad):
+            break
+        r = int(bad[0])
+        if r + 1 < need:  # the rows after r were drawn ahead of row r's redraw
+            rng.bit_generator.state = start
+            ginibre(rng, d_a * d_b, rank, r + 1)
+        rejected += 1
+        streak = streak + 1 if r == 0 else 1
+        if streak == NONDEGENERATE_BUDGET:
+            raise OutOfDomain(
+                f"all {NONDEGENERATE_BUDGET} sampled ({d_a},{d_b}) states of rank "
+                f"{rank or d_a * d_b} had a degenerate A-marginal (acceptance rate 0; "
+                f"gap below {DEGENERACY_TOL}); choose a larger rank"
+            )
+        if r:
+            parts.append(state.rho[:r])
+        need -= r
+    if parts:
+        state = BipartiteState(np.concatenate([*parts, state.rho]), d_a, d_b)
+    return state, rejected
 
 
 def classical_quantum_state(probs, basis, sigmas) -> BipartiteState:

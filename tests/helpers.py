@@ -122,3 +122,133 @@ def reference_monotonicity(channel, samples, seed, rank=4):
         resampled += rejected
         degenerate += bool(after.degenerate)
     return np.array(rows), resampled, degenerate
+
+
+# The three channel scans written as loops over trials, one state per call.
+# The package runs each scan as one stack; these are the references it must
+# match bit for bit, generator state included.
+
+def reference_commutes_with_pi(channel, trials, rng, d_b=2):
+    """channels.commutes_with_pi, one trial at a time."""
+    from diagdiscord.channels import (
+        COMMUTE_TOL,
+        ChannelReport,
+        _dephase_in_marginal_basis,
+        apply_local_a_raw,
+    )
+    from diagdiscord.discord import dephase_a
+    from diagdiscord.linalg import trace_norm
+    from diagdiscord.states import sample_nondegenerate
+
+    d_a = channel.dim
+    max_dev = 0.0
+    witness = None
+    for _ in range(trials):
+        state, _ = sample_nondegenerate(rng, d_a, d_b)
+        out = apply_local_a_raw(channel, state.rho, d_a, d_b)
+        lhs = _dephase_in_marginal_basis(out, d_a, d_b)
+        cq = dephase_a(state.rho, d_a, d_b, state.marginal_eig.eigenvectors)
+        rhs = apply_local_a_raw(channel, cq, d_a, d_b)
+        dev = trace_norm(lhs - rhs)
+        if dev > max_dev:
+            max_dev = dev
+            witness = state
+    return ChannelReport(
+        max_deviation=max_dev,
+        witness=witness if max_dev > COMMUTE_TOL else None,
+        trials=trials,
+    )
+
+
+def reference_is_discord_nongenerating(channel, trials, rng, d_b=2):
+    """channels.is_discord_nongenerating, one trial at a time."""
+    from diagdiscord.channels import (
+        COMMUTE_TOL,
+        ChannelReport,
+        _dephase_in_marginal_basis,
+        apply_local_a_raw,
+    )
+    from diagdiscord.discord import dephase_a
+    from diagdiscord.linalg import trace_norm
+    from diagdiscord.states import sample_nondegenerate
+
+    d_a = channel.dim
+    max_dev = 0.0
+    witness = None
+    for _ in range(trials):
+        state, _ = sample_nondegenerate(rng, d_a, d_b)
+        cq = dephase_a(state.rho, d_a, d_b, state.marginal_eig.eigenvectors)
+        out = apply_local_a_raw(channel, cq, d_a, d_b)
+        dev = trace_norm(_dephase_in_marginal_basis(out, d_a, d_b) - out)
+        if dev > max_dev:
+            max_dev = dev
+            witness = BipartiteState((cq + cq.conj().T) / 2.0, d_a, d_b)
+    return ChannelReport(
+        max_deviation=max_dev,
+        witness=witness if max_dev > COMMUTE_TOL else None,
+        trials=trials,
+    )
+
+
+def reference_mono_max_increase(channel, trials, rng, d_b=2):
+    """experiments._mono_max_increase, one state at a time.
+
+    ``pi_a`` is read from ``experiments`` at call time, so a patched one
+    acts on the reference and the package alike.
+    """
+    import math
+
+    from diagdiscord import experiments as ex
+    from diagdiscord.errors import DegenerateMarginal, OutOfDomain
+    from diagdiscord.states import sample_random_bipartite
+
+    pi_a = ex.pi_a
+    worst = -math.inf
+    done = 0
+    attempts = trials + ex.MONO_DEGENERATE_BUDGET
+    for _ in range(attempts):
+        state = sample_random_bipartite(rng, channel.dim, d_b, channel.dim * d_b)
+        try:
+            before = pi_a(state, optimize_degenerate=True).value
+            after = pi_a(channel.apply_local_a(state), optimize_degenerate=True).value
+        except DegenerateMarginal:
+            continue
+        worst = max(worst, after - before)
+        done += 1
+        if done == trials:
+            return worst
+    raise OutOfDomain(
+        f"only {done} of {attempts} sampled ({channel.dim},{d_b}) states kept a "
+        f"marginal eigenbasis pi_a can optimize through the {type(channel).__name__} "
+        f"(acceptance {done / attempts:.3g}); need trials = {trials}"
+    )
+
+
+#: channels the scan references are checked on: the four random classes of
+#: the classification sweep, then two fixed qubit channels
+SCAN_CHANNELS = ("mu", "iso_u", "iso_a", "sc", "hadamard", "damping")
+
+
+def scan_channel(kind, d_a, rng):
+    """One channel of kind ``kind`` (see SCAN_CHANNELS) on a d_a-dimensional A."""
+    from diagdiscord import channels as ch
+
+    return {
+        "mu": lambda: ch.random_mixed_unitary(rng, d_a),
+        "iso_u": lambda: ch.random_isotropic(rng, d_a),
+        "iso_a": lambda: ch.random_isotropic(rng, d_a, antiunitary=True),
+        "sc": lambda: ch.random_semiclassical(rng, d_a),
+        "hadamard": ch.probabilistic_hadamard,
+        "damping": lambda: ch.amplitude_damping(0.5),
+    }[kind]()
+
+
+def scan_cases(kinds=SCAN_CHANNELS):
+    """(d_a, d_b, kind) for d_a in 2..4 and d_b in 1..3; the fixed channels only at d_a = 2."""
+    return [
+        (d_a, d_b, kind)
+        for d_a in (2, 3, 4)
+        for d_b in (1, 2, 3)
+        for kind in kinds
+        if d_a == 2 or kind not in ("hadamard", "damping")
+    ]

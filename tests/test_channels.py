@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diagdiscord import channels as ch
+from diagdiscord import linalg as la
 from diagdiscord import states as st
 from diagdiscord.errors import (
     DegenerateOutput,
@@ -13,7 +14,16 @@ from diagdiscord.errors import (
     NotPositiveSemidefinite,
     OutOfRange,
 )
-from helpers import bell_state, haar, random_density, random_state
+from helpers import (
+    bell_state,
+    haar,
+    random_density,
+    random_state,
+    reference_commutes_with_pi,
+    reference_is_discord_nongenerating,
+    scan_cases,
+    scan_channel,
+)
 
 # Lemma-1 violation of the probabilistic Hadamard in the computational
 # basis: (sqrt5 - 1)/(3 N) with N = 1 + ((sqrt5 - 1)/2)^2, i.e. 2/(3 sqrt5)
@@ -342,6 +352,56 @@ class TestDiscordNongenerating:
         rng = np.random.default_rng(22)
         rep = ch.commutes_with_pi(ch.random_semiclassical(rng, 2), 30, rng)
         assert rep.max_deviation > 1e-3
+
+
+def _same_scan(scan, reference, channel, trials, seed, d_b):
+    """The scan and its one-trial-at-a-time reference agree bit for bit, generator included."""
+    rng, twin = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+    got = scan(channel, trials, rng, d_b=d_b)
+    want = reference(channel, trials, twin, d_b=d_b)
+    assert type(got.max_deviation) is float
+    assert got.max_deviation == want.max_deviation
+    assert got.trials == want.trials == trials
+    assert (got.witness is None) == (want.witness is None)
+    if want.witness is not None:
+        assert np.array_equal(got.witness.rho, want.witness.rho)
+        assert (got.witness.dim_a, got.witness.dim_b) == (want.witness.dim_a, d_b)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+SCANS = [
+    (ch.commutes_with_pi, reference_commutes_with_pi),
+    (ch.is_discord_nongenerating, reference_is_discord_nongenerating),
+]
+
+
+class TestStackedScans:
+    @pytest.mark.parametrize("d_a, d_b, kind", scan_cases())
+    @pytest.mark.parametrize("scan, reference", SCANS, ids=["commute", "nongen"])
+    def test_scan_equals_the_one_trial_loop(self, d_a, d_b, kind, scan, reference):
+        seed = 100 * d_a + 10 * d_b + len(kind)
+        channel = scan_channel(kind, d_a, np.random.default_rng(seed))
+        _same_scan(scan, reference, channel, 12, seed, d_b)
+
+    @pytest.mark.parametrize("d_a, tol", [(3, 0.1), (4, 0.05)])
+    @pytest.mark.parametrize("scan, reference", SCANS, ids=["commute", "nongen"])
+    def test_redrawn_trials_equal_the_one_trial_loop(self, d_a, tol, scan, reference, monkeypatch):
+        # a high degeneracy tolerance flags about a third of the draws
+        monkeypatch.setattr(la, "DEGENERACY_TOL", tol)
+        rng = np.random.default_rng(30 + d_a)
+        _, rejected = st.sample_nondegenerate(np.random.default_rng([30 + d_a, 1]), d_a, 2, size=12)
+        assert rejected > 0
+        _same_scan(scan, reference, ch.random_mixed_unitary(rng, d_a), 12, 30 + d_a, 2)
+
+    def test_single_trial(self):
+        channel = ch.probabilistic_hadamard()
+        for scan, reference in SCANS:
+            _same_scan(scan, reference, channel, 1, 40, 2)
+
+    @pytest.mark.parametrize("scan", [s for s, _ in SCANS])
+    def test_no_trials_rejected(self, scan):
+        with pytest.raises(OutOfRange):
+            scan(ch.probabilistic_hadamard(), 0, np.random.default_rng(0))
 
 
 class TestVerdicts:

@@ -286,6 +286,55 @@ class TestPiMulti:
             dd.pi_multi(s, [3])
 
 
+def _entropy_bits(rho):
+    vals = np.linalg.eigvalsh(rho)
+    vals = vals[vals > 0.0]
+    return float(-(vals * np.log2(vals)).sum())
+
+
+def _mutual_information(rho, d_a, d_b):
+    t = rho.reshape(d_a, d_b, d_a, d_b)
+    return (
+        _entropy_bits(np.einsum("ibjb->ij", t))
+        + _entropy_bits(np.einsum("aiaj->ij", t))
+        - _entropy_bits(rho)
+    )
+
+
+class TestMeasurementInducedDisturbance:
+    """pi_multi over both parties is Luo's measurement in the marginal eigenbases.
+
+    Luo, PRA 77, 022301 (2008): Pi(rho) = sum_ij (P_i (x) Q_j) rho (P_i (x) Q_j)
+    with P_i, Q_j the eigenprojectors of rho_A and rho_B; the disturbance
+    I(rho) - I(Pi(rho)) equals S(Pi(rho)) - S(rho), since Pi keeps both
+    marginals. The projectors here come from numpy alone.
+    """
+
+    @pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pi_multi_is_luo_measurement(self, d_a, d_b, seed):
+        rho = random_density(np.random.default_rng([seed, d_a, d_b]), d_a * d_b)
+        t = rho.reshape(d_a, d_b, d_a, d_b)
+        p_vals, p_vecs = np.linalg.eigh(np.einsum("ibjb->ij", t))
+        q_vals, q_vecs = np.linalg.eigh(np.einsum("aiaj->ij", t))
+        assert min(np.diff(p_vals).min(), np.diff(q_vals).min()) > 1e-6
+        projectors = [
+            np.kron(np.outer(p, p.conj()), np.outer(q, q.conj()))
+            for p in p_vecs.T
+            for q in q_vecs.T
+        ]
+        luo = sum(proj @ rho @ proj for proj in projectors)
+
+        state = st.MultipartiteState(rho, (d_a, d_b))
+        out = dd.pi_multi(state, [0, 1])
+        assert np.max(np.abs(out.rho - luo)) <= 1e-12
+
+        gain = _entropy_bits(luo) - _entropy_bits(rho)
+        disturbance = _mutual_information(rho, d_a, d_b) - _mutual_information(luo, d_a, d_b)
+        assert abs(disturbance - gain) <= 1e-12
+        assert abs(dd.entropy_gain(state, out) - gain) <= 1e-12
+
+
 def _optimized(state):
     [res] = dd.optimized_discord_2q([state])
     return res

@@ -3,8 +3,14 @@ import pytest
 
 from diagdiscord import channels as ch
 from diagdiscord import experiments as ex
-from diagdiscord.errors import OutOfRange
-from helpers import reference_monotonicity
+from diagdiscord import linalg as la
+from diagdiscord.errors import DegenerateMarginal, OutOfDomain, OutOfRange
+from helpers import (
+    reference_mono_max_increase,
+    reference_monotonicity,
+    scan_cases,
+    scan_channel,
+)
 
 
 class _MixedFirstDraw:
@@ -166,11 +172,84 @@ class TestClassification:
         rec = ex.run_channel_classification(2, per_class=2, trials=5, seed=16)
         assert rec.rows.shape[0] == 9
 
+    def test_eigensolver_calls_do_not_grow_with_trials(self, monkeypatch):
+        # each scan takes its trials through the eigensolvers as one stack
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda m, solver=solver: (calls.append(1), solver(m))[1]
+            )
+        counts = []
+        for trials in (10, 100):
+            calls.clear()
+            ex.run_channel_classification(3, per_class=1, trials=trials, seed=19)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
     def test_summary_recomputable(self):
         rec = ex.run_channel_classification(2, per_class=1, trials=5, seed=17)
         derived = ex.recompute_row_summary(rec)
         for key, value in derived.items():
             assert rec.summary[key] == value
+
+
+def _same_mono(channel, trials, seed, d_b):
+    """_mono_max_increase and its one-state-at-a-time reference agree bit for bit."""
+    rng, twin = np.random.default_rng([seed, 2]), np.random.default_rng([seed, 2])
+    got = ex._mono_max_increase(channel, trials, rng, d_b)
+    assert got == reference_mono_max_increase(channel, trials, twin, d_b)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+class _CountingPiA:
+    """ex.pi_a, counting the calls that raise DegenerateMarginal."""
+
+    def __init__(self, pi_a):
+        self.pi_a, self.raised = pi_a, 0
+
+    def __call__(self, *args, **kwargs):
+        try:
+            return self.pi_a(*args, **kwargs)
+        except DegenerateMarginal:
+            self.raised += 1
+            raise
+
+
+class TestMonoMaxIncrease:
+    # the antiunitary isotropic lift is not completely positive; the sweep skips it
+    @pytest.mark.parametrize(
+        "d_a, d_b, kind", scan_cases(("mu", "iso_u", "sc", "hadamard", "damping"))
+    )
+    def test_stack_equals_the_one_state_loop(self, d_a, d_b, kind):
+        seed = 100 * d_a + 10 * d_b + len(kind)
+        channel = scan_channel(kind, d_a, np.random.default_rng(seed))
+        _same_mono(channel, 12, seed, d_b)
+
+    def test_rejected_rows_equal_the_one_state_loop(self, monkeypatch):
+        # at this tolerance many outputs of a strongly depolarizing qutrit
+        # channel have a threefold degenerate marginal, which pi_a cannot
+        # optimize: their blocks go row by row
+        monkeypatch.setattr(la, "DEGENERACY_TOL", 0.05)
+        counting = _CountingPiA(ex.pi_a)
+        monkeypatch.setattr(ex, "pi_a", counting)
+        channel = ch.random_isotropic(np.random.default_rng(50), 3, gamma=0.9)
+        _same_mono(channel, 8, 50, 1)
+        assert counting.raised > 0
+
+    def test_exhausted_budget_equals_the_one_state_loop(self, monkeypatch):
+        def degenerate(*a, **k):
+            raise DegenerateMarginal("degenerate")
+
+        monkeypatch.setattr(ex, "pi_a", degenerate)
+        channel = ch.probabilistic_hadamard()
+        rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+        with pytest.raises(OutOfDomain, match=r"only 0 of 1003 .* \(acceptance 0\)") as got:
+            ex._mono_max_increase(channel, 3, rng)
+        with pytest.raises(OutOfDomain) as want:
+            reference_mono_max_increase(channel, 3, twin)
+        assert str(got.value) == str(want.value)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestSeedHandling:

@@ -174,6 +174,16 @@ def test_stacked_kernels_equal_their_single_matrix_calls(seed, shape):
         ch.random_semiclassical(rng, d_a),
     )
     lifts = [c.lift_a(rhos, d_a, d_b) for c in channels]
+    # non-Hermitian differences and one zero matrix, whose norms are 0
+    mats = np.concatenate([rhos - conjugated, np.zeros_like(rhos[:1])])
+    norms = {p: la.schatten_norm(mats, p) for p in (1, 1.5, 2, math.inf)}
+    trace_norms = la.trace_norm(mats)
+    for i, m in enumerate(mats):
+        for p, stacked in norms.items():
+            assert stacked[i] == la.schatten_norm(m, p)
+        assert trace_norms[i] == la.trace_norm(m)
+        assert type(la.trace_norm(m)) is float
+    assert trace_norms[-1] == norms[math.inf][-1] == 0.0
     for i, rho in enumerate(rhos):
         assert _close(vals[i], la.density_eigenvalues(rho))
         assert _close(entropies[i], la.spectrum_entropy(vals[i]))

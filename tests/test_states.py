@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from diagdiscord import linalg as la
 from diagdiscord import states as st
 from diagdiscord.errors import (
     DimensionMismatch,
@@ -11,6 +12,7 @@ from diagdiscord.errors import (
     InvalidRank,
     NotDensityMatrix,
     NotPositiveSemidefinite,
+    OutOfDomain,
     OutOfRange,
     ParseError,
 )
@@ -275,6 +277,38 @@ class TestRandomBipartite:
             purity_lib.var() / n_lib + purity_orc.var() / n_orc
         )
         assert abs(purity_lib.mean() - purity_orc.mean()) <= 4 * sigma
+
+
+    @pytest.mark.parametrize("d_a, d_b, rank", [(2, 2, 4), (3, 2, 6), (4, 3, 5), (3, 1, 1)])
+    def test_stack_draws_what_one_at_a_time_calls_draw(self, d_a, d_b, rank):
+        rng, twin = np.random.default_rng(13), np.random.default_rng(13)
+        stack = st.sample_random_bipartite(rng, d_a, d_b, rank, size=7)
+        for row in stack.rho:
+            assert np.array_equal(row, st.sample_random_bipartite(twin, d_a, d_b, rank).rho)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("d_a, d_b, tol", [(3, 2, 0.1), (4, 2, 0.05)])
+    def test_nondegenerate_stack_redraws_as_one_at_a_time_calls(
+        self, d_a, d_b, tol, monkeypatch
+    ):
+        # a high degeneracy tolerance flags about a third of the draws
+        monkeypatch.setattr(la, "DEGENERACY_TOL", tol)
+        rng, twin = np.random.default_rng(14), np.random.default_rng(14)
+        stack, rejected = st.sample_nondegenerate(rng, d_a, d_b, size=12)
+        rows = [st.sample_nondegenerate(twin, d_a, d_b) for _ in range(12)]
+        assert np.array_equal(stack.rho, np.stack([s.rho for s, _ in rows]))
+        assert not stack.marginal_eig.degenerate.any()
+        assert rejected == sum(r for _, r in rows) > 0
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_nondegenerate_stack_keeps_the_budget_per_state(self):
+        # a pure state on 3 x 1 has the degenerate marginal spectrum (0, 0, 1)
+        rng, twin = np.random.default_rng(15), np.random.default_rng(15)
+        with pytest.raises(OutOfDomain, match="all 1000 sampled"):
+            st.sample_nondegenerate(rng, 3, 1, 1, size=4)
+        with pytest.raises(OutOfDomain, match="all 1000 sampled"):
+            st.sample_nondegenerate(twin, 3, 1, 1)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestClassicalQuantum:
