@@ -106,13 +106,8 @@ _BLOCK_GRID_THETA = 48
 _BLOCK_GRID_PHI = 24
 
 
-def _optimize_degenerate_basis(dec: SpectralDecomposition, objective) -> np.ndarray:
-    """Minimize `objective(basis)` over eigenbases of the degenerate blocks.
-
-    Each 2-dim block is parameterized by two angles on a coarse grid, then
-    all block angles are refined jointly with Nelder-Mead. Blocks of
-    dimension >= 3 are rejected.
-    """
+def _check_optimizable(dec: SpectralDecomposition) -> None:
+    """Raise DegenerateMarginal if a degenerate block has dimension >= 3."""
     for start, stop in dec.degenerate_blocks:
         if stop - start > 2:
             raise DegenerateMarginal(
@@ -120,6 +115,14 @@ def _optimize_degenerate_basis(dec: SpectralDecomposition, objective) -> np.ndar
                 "supported by the eigenbasis optimization",
                 blocks=dec.degenerate_blocks,
             )
+
+
+def _optimize_degenerate_basis(dec: SpectralDecomposition, objective) -> np.ndarray:
+    """Minimize `objective(basis)` over eigenbases of the degenerate 2-dim blocks.
+
+    Each 2-dim block is parameterized by two angles on a coarse grid, then
+    all block angles are refined jointly with Nelder-Mead.
+    """
     blocks = dec.degenerate_blocks
     thetas = np.linspace(0.0, math.pi, _BLOCK_GRID_THETA)
     phis = np.linspace(0.0, 2.0 * math.pi, _BLOCK_GRID_PHI, endpoint=False)
@@ -153,7 +156,8 @@ def _eigenbasis(state: BipartiteState, optimize_degenerate: bool, objective) -> 
     A nondegenerate marginal fixes it up to phases. A degenerate one raises
     DegenerateMarginal unless ``optimize_degenerate`` is set; then
     ``objective(rho, basis)`` is minimized over the degenerate blocks, one
-    flagged row at a time.
+    flagged row at a time. Every flagged row is checked before any is
+    optimized, so a block of dimension >= 3 raises before work is spent.
     """
     dec = state.marginal_eig
     if not dec.degenerate.any():
@@ -166,8 +170,11 @@ def _eigenbasis(state: BipartiteState, optimize_degenerate: bool, objective) -> 
             f"{row.degenerate_blocks}",
             blocks=row.degenerate_blocks,
         )
+    flagged = [tuple(idx) for idx in np.argwhere(dec.degenerate)]
+    for idx in flagged:
+        _check_optimizable(dec[idx])
     basis = dec.eigenvectors.copy()
-    for idx in map(tuple, np.argwhere(dec.degenerate)):
+    for idx in flagged:
         rho = state.rho[idx]
         basis[idx] = _optimize_degenerate_basis(dec[idx], lambda b: objective(rho, b))
     return basis
@@ -444,7 +451,9 @@ def _newton_refine(n, f, a, b, t):
     return n, f
 
 
-def optimized_discord_2q(states: Sequence[BipartiteState]) -> list[OptimizedDiscordResult]:
+def optimized_discord_2q(
+    states: BipartiteState | Sequence[BipartiteState],
+) -> list[OptimizedDiscordResult]:
     """Ollivier-Zurek discord of each two-qubit state, measured on A.
 
     D_A = S(rho_A) - S(rho_AB) + min over unit vectors n of
@@ -459,14 +468,22 @@ def optimized_discord_2q(states: Sequence[BipartiteState]) -> list[OptimizedDisc
     the grid value, nor the diagonal discord beyond rounding (the two
     evaluate the eigenbasis by different formulas). theta and phi are the
     polar angles of the winning n.
+
+    ``states`` is a stack (N, 4, 4) of states, or a sequence of single
+    states, which is stacked at entry; the result has one entry per state.
     """
-    states = list(states)
-    for state in states:
-        if state.dim_a != 2 or state.dim_b != 2:
+    if not isinstance(states, BipartiteState):
+        states = list(states)
+        if any(s.dim_a != 2 or s.dim_b != 2 for s in states):
             raise DimensionMismatch("optimized_discord_2q requires d_A = d_B = 2")
-    if not states:
-        return []
-    a, b, t = _bloch_form(np.stack([s.rho for s in states]))
+        if not states:
+            return []
+        states = BipartiteState(np.stack([s.rho for s in states]), 2, 2)
+    if states.dim_a != 2 or states.dim_b != 2 or states.rho.ndim != 3:
+        raise DimensionMismatch(
+            "optimized_discord_2q requires a stack (N, 4, 4) with d_A = d_B = 2"
+        )
+    a, b, t = _bloch_form(states.rho)
     n_grid = np.empty_like(a)
     f_grid = np.empty(len(states))
     for k in range(len(states)):
@@ -474,20 +491,18 @@ def optimized_discord_2q(states: Sequence[BipartiteState]) -> list[OptimizedDisc
         g = int(np.argmin(values))
         n_grid[k], f_grid[k] = _GRID_N[g], values[g]
     n_newton, f_newton = _newton_refine(n_grid, f_grid, a, b, t)
-    v = np.stack([s.marginal_eig.eigenvectors[:, 0] for s in states])
+    dec = states.marginal_eig
+    v = dec.eigenvectors[:, :, 0]
     n_eig = np.einsum("ka,iab,kb->ki", v.conj(), _PAULI[1:], v).real
     f_eig = _objective(n_eig, a, b, t)
     best_n = np.where((f_eig < f_newton)[:, None], n_eig, n_newton)
     best_f = np.minimum(f_eig, f_newton)
     theta = np.arccos(np.clip(best_n[:, 2], -1.0, 1.0))
     phi = np.arctan2(best_n[:, 1], best_n[:, 0]) % (2.0 * math.pi)
+    base = spectrum_entropy(dec.eigenvalues) - states.entropy
     return [
-        OptimizedDiscordResult(
-            value=max(spectrum_entropy(s.marginal_eig.eigenvalues) - s.entropy + f, 0.0),
-            theta=float(th),
-            phi=float(ph),
-        )
-        for s, f, th, ph in zip(states, best_f.tolist(), theta, phi)
+        OptimizedDiscordResult(value=max(s + f, 0.0), theta=float(th), phi=float(ph))
+        for s, f, th, ph in zip(base.tolist(), best_f.tolist(), theta, phi)
     ]
 
 

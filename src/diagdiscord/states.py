@@ -128,6 +128,12 @@ class BipartiteState(_ValidatedDensity):
             )
         self._validate(rho)
 
+    def __len__(self) -> int:
+        """Number of states in a stack; a single state, like a 0-d array, has no len()."""
+        if self.rho.ndim == 2:
+            raise TypeError("a single BipartiteState has no len()")
+        return len(self.rho)
+
     @property
     def dim(self) -> int:
         return self.dim_a * self.dim_b
@@ -181,6 +187,10 @@ class XStateParams:
 
     def radius_sq(self) -> float:
         return self.r6**2 + 4.0 * self.r8**2 + self.r9**2 + self.r15**2
+
+    def as_row(self) -> tuple[float, float, float, float]:
+        """(r6, r8, r9, r15), the row order of ``x_state_matrix`` stacks."""
+        return (self.r6, self.r8, self.r9, self.r15)
 
 
 # The A-side kernels below act on one (d_a*d_b) x (d_a*d_b) matrix or on a
@@ -240,24 +250,28 @@ def partial_trace_a(state: BipartiteState) -> np.ndarray:
     return ptrace_a(state.rho, state.dim_a, state.dim_b)
 
 
-def x_state_matrix(params: XStateParams) -> np.ndarray:
-    """Raw 4x4 matrix of the symmetric X-state Bloch form (may be non-PSD)."""
-    m = (
+def x_state_matrix(params) -> np.ndarray:
+    """Raw 4x4 matrix of the symmetric X-state Bloch form (may be non-PSD).
+
+    ``params`` is an XStateParams or an array (..., 4) of (r6, r8, r9, r15)
+    rows, which gives a stack (..., 4, 4); row i equals the matrix of
+    ``XStateParams(*params[i])`` bit for bit.
+    """
+    if isinstance(params, XStateParams):
+        params = params.as_row()
+    r6, r8, r9, r15 = np.moveaxis(np.asarray(params, dtype=float), -1, 0)[..., None, None]
+    return (
         np.eye(4, dtype=complex)
-        + _SQRT6
-        * (
-            _SQRT3 * params.r8 * L3
-            + params.r6 * L6
-            + params.r8 * L8
-            + params.r9 * L9
-            + params.r15 * L15
-        )
+        + _SQRT6 * (_SQRT3 * r8 * L3 + r6 * L6 + r8 * L8 + r9 * L9 + r15 * L15)
     ) / 4.0
-    return m
 
 
-def x_state_from_params(params: XStateParams) -> BipartiteState:
-    """Symmetric two-qubit X-state with Bloch coordinates (r6, r8, r9, r15)."""
+def x_state_from_params(params) -> BipartiteState:
+    """Symmetric two-qubit X-state with Bloch coordinates (r6, r8, r9, r15).
+
+    An array (N, 4) of coordinate rows gives a stack of N states, built and
+    validated at once (see ``x_state_matrix``).
+    """
     try:
         return BipartiteState(x_state_matrix(params), 2, 2)
     except NotDensityMatrix as exc:  # the matrix is Hermitian with unit trace

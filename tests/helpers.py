@@ -124,6 +124,42 @@ def reference_monotonicity(channel, samples, seed, rank=4):
     return np.array(rows), resampled, degenerate
 
 
+def reference_xstate_comparison(samples, seed):
+    """experiments.run_xstate_comparison, one X-state per call.
+
+    The package builds, validates and dephases the samples as one stack;
+    this is the per-sample loop it must match bit for bit.
+    """
+    from diagdiscord import experiments as ex
+    from diagdiscord.discord import diagonal_discord, optimized_discord_2q
+    from diagdiscord.errors import InvariantViolation, OutOfDomain
+    from diagdiscord.states import sample_x_params, x_state_from_params
+
+    def draw(i: int):
+        rng = ex.sample_rng(seed, i)
+        for excluded in range(ex.XSTATE_DEGENERATE_BUDGET):
+            params = sample_x_params(rng)
+            state = x_state_from_params(params)
+            if not state.marginal_eig.degenerate:
+                return params, state, diagonal_discord(state), excluded
+        raise OutOfDomain(
+            f"0 of {ex.XSTATE_DEGENERATE_BUDGET} X-states drawn for sample {i} have "
+            "a nondegenerate A-marginal; 1 of 10^6 X-states has a degenerate one"
+        )
+
+    draws = [draw(i) for i in range(samples)]
+    optimized = optimized_discord_2q([state for _, state, _, _ in draws])
+    rows = []
+    for (params, _, dd, _), opt in zip(draws, optimized):
+        if opt.value > dd + ex.UPPER_BOUND_TOL:
+            raise InvariantViolation(
+                f"optimized discord {opt.value} exceeds diagonal discord {dd}"
+            )
+        rows.append((params.r6, params.r8, params.r9, params.r15, opt.value, dd))
+    rows = np.array(rows, dtype=float)
+    return rows, float(sum(d[3] for d in draws))
+
+
 # The three channel scans written as loops over trials, one state per call.
 # The package runs each scan as one stack; these are the references it must
 # match bit for bit, generator state included.

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from diagdiscord import channels as ch
+from diagdiscord import discord as dd
 from diagdiscord import experiments as ex
 from diagdiscord import linalg as la
 from diagdiscord.errors import DegenerateMarginal, OutOfDomain, OutOfRange
 from helpers import (
     reference_mono_max_increase,
     reference_monotonicity,
+    reference_xstate_comparison,
     scan_cases,
     scan_channel,
 )
@@ -120,6 +122,46 @@ class TestXStateComparison:
         b = ex.run_xstate_comparison(samples=40, seed=8)
         assert np.array_equal(a.rows, b.rows)
         assert a.summary == b.summary
+
+    @pytest.mark.parametrize("seed", [25, 26, 20260809])
+    def test_stack_equals_the_per_sample_path(self, seed):
+        rec = ex.run_xstate_comparison(samples=60, seed=seed)
+        rows, excluded = reference_xstate_comparison(60, seed)
+        assert rec.rows.tobytes() == rows.tobytes()
+        assert rec.summary["excluded_degenerate"] == excluded == 0
+
+    def test_redrawn_samples_equal_the_per_sample_path(self, monkeypatch):
+        # at this tolerance some X-state marginals count as degenerate, so
+        # their samples are drawn again, some more than once
+        monkeypatch.setattr(la, "DEGENERACY_TOL", 0.1)
+        rec = ex.run_xstate_comparison(samples=40, seed=27)
+        rows, excluded = reference_xstate_comparison(40, 27)
+        assert rec.rows.tobytes() == rows.tobytes()
+        assert rec.summary["excluded_degenerate"] == excluded > 1
+
+    def test_exhausted_budget_equals_the_per_sample_path(self, monkeypatch):
+        monkeypatch.setattr(la, "DEGENERACY_TOL", 2.0)  # every marginal gap is below 1
+        with pytest.raises(OutOfDomain, match="sample 0 have a nondegenerate") as got:
+            ex.run_xstate_comparison(samples=3, seed=28)
+        with pytest.raises(OutOfDomain) as want:
+            reference_xstate_comparison(3, 28)
+        assert str(got.value) == str(want.value)
+
+    def test_eigensolver_calls_do_not_grow_with_samples(self, monkeypatch):
+        # the samples go through the eigensolvers as one stack, not one by one
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda m, solver=solver: (calls.append(1), solver(m))[1]
+            )
+        counts = []
+        for samples in (50, 500):
+            calls.clear()
+            rec = ex.run_xstate_comparison(samples=samples, seed=29)
+            assert rec.summary["excluded_degenerate"] == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestContinuity:
@@ -236,6 +278,24 @@ class TestMonoMaxIncrease:
         channel = ch.random_isotropic(np.random.default_rng(50), 3, gamma=0.9)
         _same_mono(channel, 8, 50, 1)
         assert counting.raised > 0
+
+    def test_no_degenerate_row_is_optimized_twice(self, monkeypatch):
+        # a threefold block in a later row raises before any twofold row of
+        # the stack is optimized, so the row-by-row pass redoes no work
+        monkeypatch.setattr(la, "DEGENERACY_TOL", 0.05)
+        calls = []
+        optimize = dd._optimize_degenerate_basis
+        monkeypatch.setattr(
+            dd, "_optimize_degenerate_basis", lambda *a: (calls.append(1), optimize(*a))[1]
+        )
+        channel = ch.random_isotropic(np.random.default_rng(50), 3, gamma=0.9)
+        rng, twin = np.random.default_rng([50, 2]), np.random.default_rng([50, 2])
+        got = ex._mono_max_increase(channel, 8, rng, 1)
+        stacked = len(calls)
+        calls.clear()
+        assert got == reference_mono_max_increase(channel, 8, twin, 1)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert stacked == len(calls) > 0
 
     def test_exhausted_budget_equals_the_one_state_loop(self, monkeypatch):
         def degenerate(*a, **k):

@@ -260,3 +260,30 @@ def test_a_degenerate_row_is_optimized_alone(seed, d_b, n, where):
         one = dd.pi_a(st.BipartiteState(rho, 2, d_b), optimize_degenerate=(i == bad))
         assert res.degenerate[i] == one.degenerate == (i == bad)
         assert _close(res.value[i], one.value)
+
+
+@SETTINGS
+@given(seed=SEEDS, n=hs.integers(1, 8))
+def test_stacked_x_state_rows_equal_their_single_matrix(seed, n):
+    rng = np.random.default_rng(seed)
+    rows = np.array([st.sample_x_params(rng).as_row() for _ in range(n)])
+    stack = st.x_state_matrix(rows)
+    assert stack.shape == (n, 4, 4)
+    for row, m in zip(rows, stack):
+        assert m.tobytes() == st.x_state_matrix(st.XStateParams(*row)).tobytes()
+
+
+@SETTINGS
+@given(seed=SEEDS, n=hs.integers(1, 8), x_states=hs.booleans())
+def test_optimized_discord_of_a_stack_equals_that_of_its_rows(seed, n, x_states):
+    rng = np.random.default_rng(seed)
+    if x_states:
+        rhos = st.x_state_matrix([st.sample_x_params(rng).as_row() for _ in range(n)])
+    else:
+        rhos = _random_stack(rng, 4, n)
+    stacked = dd.optimized_discord_2q(st.BipartiteState(rhos, 2, 2))
+    rows = dd.optimized_discord_2q([st.BipartiteState(rho, 2, 2) for rho in rhos])
+    assert len(stacked) == len(rows) == n
+    for got, want in zip(stacked, rows):
+        got, want = (np.array([r.value, r.theta, r.phi]).tobytes() for r in (got, want))
+        assert got == want

@@ -155,6 +155,14 @@ class TestXState:
         with pytest.raises(NotPositiveSemidefinite):
             st.x_state_from_params(st.XStateParams(0, 0, 0, 0.9))
 
+    def test_not_psd_row_of_a_stack_raises_naming_it(self):
+        rows = np.array([[0, 0, 0.2, 0], [0, 0, 0, 0.9], [0, 0, 0, 0]])
+        with pytest.raises(NotPositiveSemidefinite, match="state row 1 has negative"):
+            st.x_state_from_params(rows)
+        stack = st.x_state_from_params(rows[[0, 2]])
+        assert len(stack) == 2
+        assert np.array_equal(stack.rho[1], np.eye(4) / 4)
+
     def test_params_out_of_range(self):
         with pytest.raises(OutOfRange):
             st.XStateParams(1.5, 0, 0, 0)
