@@ -10,7 +10,6 @@ stderr. Exit codes: 0 success, 2 degenerate marginal, 3 parse error,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -134,16 +133,19 @@ def write_scatter_svg(
         fh.write("\n".join(parts) + "\n")
 
 
+def _parse(kind: type, text: str, name: str):
+    """``kind(text)``; a malformed value raises ParseError naming it."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ParseError(f"{name} = {text!r} is not a valid {kind.__name__}") from exc
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("DD_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ParseError(f"DD_SEED = {env!r} is not an integer") from exc
-    return DEFAULT_SEED
+    return DEFAULT_SEED if env is None else _parse(int, env, "DD_SEED")
 
 
 def _cmd_discord(args) -> int:
@@ -151,7 +153,7 @@ def _cmd_discord(args) -> int:
     if args.mode == "multi":
         if not isinstance(state, MultipartiteState):
             state = MultipartiteState(state.rho, (state.dim_a, state.dim_b))
-        parties = [int(p) for p in args.parties.split(",")] if args.parties else []
+        parties = [_parse(int, p, "--parties") for p in args.parties.split(",") if args.parties]
         value = dd.entropy_gain(state, dd.pi_multi(state, parties))
         print(f"{value:.12f}")
         return EXIT_OK
@@ -170,10 +172,8 @@ def _cmd_discord(args) -> int:
             file=sys.stderr,
         )
     elif args.mode == "generalized":
-        p = math.inf if args.p in ("inf", "Inf") else float(args.p)
-        value = dd.generalized_discord(
-            state, dd.SchattenNorm(p), optimize_degenerate=args.optimize_degenerate
-        )
+        delta = dd.SchattenNorm(_parse(float, args.p, "--p"))
+        value = dd.generalized_discord(state, delta, optimize_degenerate=args.optimize_degenerate)
         print(f"{value:.12f}")
     else:
         raise ParseError(f"unknown mode {args.mode!r}")

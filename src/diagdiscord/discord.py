@@ -13,7 +13,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     DegenerateMarginal,
@@ -88,22 +87,28 @@ def dephase_a(rho: np.ndarray, d_a: int, d_b: int, basis: np.ndarray) -> np.ndar
     return from_blocks_a(basis, blocks_a(rho, d_a, d_b, basis))
 
 
+def _angle_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, phi) of an n_theta x n_phi grid on [0, pi] x [0, 2 pi), theta-major."""
+    thetas = np.linspace(0.0, math.pi, n_theta)
+    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    return np.repeat(thetas, n_phi), np.tile(phis, n_theta)
+
+
 def _rotate_blocks(basis: np.ndarray, blocks: tuple[tuple[int, int], ...], angles) -> np.ndarray:
-    """Apply a 2-angle rotation inside each degenerate 2-dim block."""
-    out = basis.copy()
+    """Rotate each degenerate 2-dim block by its angle pair (theta, phi): one
+    basis (..., d, d) for each row of ``angles`` (..., 2 len(blocks))."""
+    out = np.broadcast_to(basis, angles.shape[:-1] + basis.shape).copy()
     for k, (start, _stop) in enumerate(blocks):
-        theta, phi = angles[2 * k], angles[2 * k + 1]
-        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-        e = complex(math.cos(phi), math.sin(phi))
-        vi = basis[:, start]
-        vj = basis[:, start + 1]
-        out[:, start] = c * vi + e * s * vj
-        out[:, start + 1] = -np.conj(e) * s * vi + c * vj
+        theta, phi = angles[..., 2 * k, None], angles[..., 2 * k + 1, None]
+        c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+        e = np.cos(phi) + 1j * np.sin(phi)
+        vi, vj = basis[:, start], basis[:, start + 1]
+        out[..., :, start] = c * vi + e * s * vj
+        out[..., :, start + 1] = -np.conj(e) * s * vi + c * vj
     return out
 
 
-_BLOCK_GRID_THETA = 48
-_BLOCK_GRID_PHI = 24
+_BLOCK_GRID = np.stack(_angle_grid(48, 24), axis=-1)
 
 
 def _check_optimizable(dec: SpectralDecomposition) -> None:
@@ -117,37 +122,34 @@ def _check_optimizable(dec: SpectralDecomposition) -> None:
             )
 
 
-def _optimize_degenerate_basis(dec: SpectralDecomposition, objective) -> np.ndarray:
-    """Minimize `objective(basis)` over eigenbases of the degenerate 2-dim blocks.
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first call: scipy is most of the import cost."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
-    Each 2-dim block is parameterized by two angles on a coarse grid, then
+
+def _optimize_degenerate_basis(dec: SpectralDecomposition, objective) -> np.ndarray:
+    """Minimize ``objective(bases)`` over eigenbases of the degenerate 2-dim blocks.
+
+    Each block in turn is scanned on the (theta, phi) grid as one stack of
+    bases, the earlier blocks at their best (first least) grid point; then
     all block angles are refined jointly with Nelder-Mead.
     """
     blocks = dec.degenerate_blocks
-    thetas = np.linspace(0.0, math.pi, _BLOCK_GRID_THETA)
-    phis = np.linspace(0.0, 2.0 * math.pi, _BLOCK_GRID_PHI, endpoint=False)
-    angles = [0.0, 0.0] * len(blocks)
+    grid = np.zeros((len(_BLOCK_GRID), 2 * len(blocks)))
     for k in range(len(blocks)):
-        best = math.inf
-        best_pair = (0.0, 0.0)
-        for th in thetas:
-            for ph in phis:
-                angles[2 * k], angles[2 * k + 1] = th, ph
-                val = objective(_rotate_blocks(dec.eigenvectors, blocks, angles))
-                if val < best:
-                    best = val
-                    best_pair = (th, ph)
-        angles[2 * k], angles[2 * k + 1] = best_pair
-
+        grid[:, 2 * k : 2 * k + 2] = _BLOCK_GRID
+        values = objective(_rotate_blocks(dec.eigenvectors, blocks, grid))
+        g = int(np.argmin(values))
+        grid[:, 2 * k : 2 * k + 2] = _BLOCK_GRID[g]
+        best = values[g]
     res = minimize(
         lambda x: objective(_rotate_blocks(dec.eigenvectors, blocks, x)),
-        np.array(angles),
+        grid[0],
         method="Nelder-Mead",
         options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 2000},
     )
-    if res.fun <= objective(_rotate_blocks(dec.eigenvectors, blocks, angles)):
-        angles = list(res.x)
-    return _rotate_blocks(dec.eigenvectors, blocks, angles)
+    return _rotate_blocks(dec.eigenvectors, blocks, res.x if res.fun <= best else grid[0])
 
 
 def _eigenbasis(state: BipartiteState, optimize_degenerate: bool, objective) -> np.ndarray:
@@ -155,9 +157,10 @@ def _eigenbasis(state: BipartiteState, optimize_degenerate: bool, objective) -> 
 
     A nondegenerate marginal fixes it up to phases. A degenerate one raises
     DegenerateMarginal unless ``optimize_degenerate`` is set; then
-    ``objective(rho, basis)`` is minimized over the degenerate blocks, one
-    flagged row at a time. Every flagged row is checked before any is
-    optimized, so a block of dimension >= 3 raises before work is spent.
+    ``objective(rho, bases)``, one value per basis of a stack, is minimized
+    over the degenerate blocks, one flagged row at a time. Every flagged row
+    is checked before any is optimized, so a block of dimension >= 3 raises
+    before work is spent.
     """
     dec = state.marginal_eig
     if not dec.degenerate.any():
@@ -175,8 +178,7 @@ def _eigenbasis(state: BipartiteState, optimize_degenerate: bool, objective) -> 
         _check_optimizable(dec[idx])
     basis = dec.eigenvectors.copy()
     for idx in flagged:
-        rho = state.rho[idx]
-        basis[idx] = _optimize_degenerate_basis(dec[idx], lambda b: objective(rho, b))
+        basis[idx] = _optimize_degenerate_basis(dec[idx], lambda b: objective(state.rho[idx], b))
     return basis
 
 
@@ -195,7 +197,7 @@ def pi_a(state: BipartiteState, optimize_degenerate: bool = False) -> PiResult:
         state,
         optimize_degenerate,
         lambda rho, b: spectrum_entropy(
-            np.linalg.eigvalsh(blocks_a(rho, d_a, d_b, b)).reshape(-1)
+            np.linalg.eigvalsh(blocks_a(rho, d_a, d_b, b)).reshape(*b.shape[:-2], -1)
         ),
     )
     dephased = dephase_a(state.rho, d_a, d_b, basis)
@@ -259,7 +261,7 @@ def generalized_discord(
         raise TypeError(f"unsupported distance measure {delta!r}")
     d_a, d_b = state.dim_a, state.dim_b
 
-    def distance(rho: np.ndarray, basis: np.ndarray) -> float:
+    def distance(rho: np.ndarray, basis: np.ndarray):
         return schatten_norm(rho - dephase_a(rho, d_a, d_b, basis), delta.p)
 
     return distance(state.rho, _eigenbasis(state, optimize_degenerate, distance))
@@ -303,17 +305,15 @@ def pi_multi(state: MultipartiteState, parties) -> MultipartiteState:
 
 def _grid_directions(n_theta: int, n_phi: int) -> np.ndarray:
     """Unit vectors n(theta, phi) on a (theta, phi) grid, one per row."""
-    th, ph = np.meshgrid(
-        np.linspace(0.0, math.pi, n_theta),
-        np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False),
-        indexing="ij",
-    )
-    return np.stack(
-        [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1
-    ).reshape(-1, 3)
+    th, ph = _angle_grid(n_theta, n_phi)
+    return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
 
 
 _GRID_N = _grid_directions(64, 32)
+# glibc keeps freed heap mapped up to twice the largest mmap block freed so
+# far. Freeing this 2 MiB one keeps each state's grid temporaries (a few
+# hundred KiB) mapped; else they fault in again per state, 1.5x the time.
+np.empty(1 << 18)
 #: I, sigma_x, sigma_y, sigma_z
 _PAULI = np.array(
     [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]

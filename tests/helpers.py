@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import math
+
 import numpy as np
 
 from diagdiscord.states import BipartiteState
@@ -34,6 +36,70 @@ def haar(rng, d):
     ph = np.diag(r).copy()
     ph /= np.abs(ph)
     return q * ph
+
+
+def degenerate_marginal_state(rng, d_a, d_b, rank=None):
+    """Random state, locally filtered on A so rho_A has degenerate pairs.
+
+    rho_A gets the spectrum (1, 1, 2, 2, ...) / sum in a Haar-random basis,
+    with one nondegenerate eigenvalue left over when d_A is odd; at d_A = 2
+    that is rho_A = I/2. The unfiltered rho_A must be invertible.
+    """
+    rho = random_density(rng, d_a * d_b, rank)
+    vals, vecs = np.linalg.eigh(np.trace(rho.reshape(d_a, d_b, d_a, d_b), axis1=1, axis2=3))
+    w = np.arange(d_a) // 2 + 1.0
+    inv_sqrt = vecs @ np.diag(vals ** -0.5) @ vecs.conj().T
+    f = np.kron(haar(rng, d_a) @ np.diag(np.sqrt(w / w.sum())) @ inv_sqrt, np.eye(d_b))
+    rho = f @ rho @ f.conj().T
+    return BipartiteState((rho + rho.conj().T) / 2.0 / np.trace(rho).real, d_a, d_b)
+
+
+def reference_optimize_degenerate_basis(dec, objective):
+    """discord._optimize_degenerate_basis with its former scalar grid loop.
+
+    Every grid point is one objective call on one basis, rotated by scalar
+    arithmetic; the package scans each block's grid as one stacked call and
+    must return the same basis bit for bit.
+    """
+    from scipy.optimize import minimize
+
+    def _rotate_blocks(basis, blocks, angles):
+        out = basis.copy()
+        for k, (start, _stop) in enumerate(blocks):
+            theta, phi = angles[2 * k], angles[2 * k + 1]
+            c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+            e = complex(math.cos(phi), math.sin(phi))
+            vi = basis[:, start]
+            vj = basis[:, start + 1]
+            out[:, start] = c * vi + e * s * vj
+            out[:, start + 1] = -np.conj(e) * s * vi + c * vj
+        return out
+
+    blocks = dec.degenerate_blocks
+    thetas = np.linspace(0.0, math.pi, 48)
+    phis = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
+    angles = [0.0, 0.0] * len(blocks)
+    for k in range(len(blocks)):
+        best = math.inf
+        best_pair = (0.0, 0.0)
+        for th in thetas:
+            for ph in phis:
+                angles[2 * k], angles[2 * k + 1] = th, ph
+                val = objective(_rotate_blocks(dec.eigenvectors, blocks, angles))
+                if val < best:
+                    best = val
+                    best_pair = (th, ph)
+        angles[2 * k], angles[2 * k + 1] = best_pair
+
+    res = minimize(
+        lambda x: objective(_rotate_blocks(dec.eigenvectors, blocks, x)),
+        np.array(angles),
+        method="Nelder-Mead",
+        options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 2000},
+    )
+    if res.fun <= objective(_rotate_blocks(dec.eigenvectors, blocks, angles)):
+        angles = list(res.x)
+    return _rotate_blocks(dec.eigenvectors, blocks, angles)
 
 
 def _h(x):

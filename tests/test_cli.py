@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +65,23 @@ class TestDiscordCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert float(out.strip()) == pytest.approx(1 / np.sqrt(2), abs=1e-9)
+
+    @pytest.mark.parametrize("p, want", [("1", "1.000000000000"), ("inf", "0.500000000000")])
+    def test_generalized_nonsmooth_norms_with_degeneracy_optimization(
+        self, bell_file, capsys, p, want
+    ):
+        # every basis of A is optimal for the Bell state
+        argv = ["discord", bell_file, "--mode", "generalized", "--p", p, "--optimize-degenerate"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.strip() == want
+
+    @pytest.mark.parametrize(
+        "mode, flag, value", [("generalized", "--p", "abc"), ("multi", "--parties", "x")]
+    )
+    def test_malformed_number_exits_3(self, bell_file, capsys, mode, flag, value):
+        assert cli.main(["discord", bell_file, "--mode", mode, flag, value]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert flag in err and repr(value) in err
 
     def test_multi_mode(self, tmp_path, capsys):
         rho = 0.8 * bell_state().rho + 0.2 * np.diag([0.4, 0.3, 0.2, 0.1])
@@ -287,3 +308,21 @@ class TestSampleCommand:
             s = st.load_state(p)
             assert s.dim_a == 2 and s.dim_b == 3
             assert von_neumann_entropy(s.rho) <= 1e-10
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """scipy is imported by the degenerate-eigenbasis search only, not at start-up."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, diagdiscord.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"

@@ -11,12 +11,15 @@ from diagdiscord.errors import (
     InvalidP,
     OutOfDomain,
 )
-from diagdiscord.linalg import relative_entropy, von_neumann_entropy
+from diagdiscord.linalg import relative_entropy, spectrum_entropy, von_neumann_entropy
+from diagdiscord.states import blocks_a
 from helpers import (
     bell_state,
+    degenerate_marginal_state,
     haar,
     random_density,
     random_state,
+    reference_optimize_degenerate_basis,
     reference_optimized_discord_2q,
 )
 
@@ -226,6 +229,68 @@ class TestGeneralizedDiscord:
     def test_invalid_p(self):
         with pytest.raises(InvalidP):
             dd.SchattenNorm(0.3)
+
+
+#: the public values that run the degenerate-eigenbasis search
+SEARCH_MEASURES = [
+    lambda s: dd.pi_a(s, optimize_degenerate=True).value,
+    *(
+        lambda s, p=p: dd.generalized_discord(s, dd.SchattenNorm(p), optimize_degenerate=True)
+        for p in (1.0, 2.0, math.inf)
+    ),
+]
+
+
+class TestDegenerateEigenbasisSearch:
+    @pytest.mark.parametrize("d_a", [2, 3, 4])
+    @pytest.mark.parametrize("d_b", [1, 2, 3])
+    def test_matches_the_scalar_grid_loop_bit_for_bit(self, d_a, d_b, monkeypatch):
+        state = degenerate_marginal_state(np.random.default_rng([d_a, d_b]), d_a, d_b)
+        search = dd._optimize_degenerate_basis
+
+        def run(impl):
+            bases = []
+
+            def spy(dec, objective):
+                bases.append(impl(dec, objective))
+                return bases[-1]
+
+            monkeypatch.setattr(dd, "_optimize_degenerate_basis", spy)
+            return [m(state) for m in SEARCH_MEASURES], bases
+
+        got, got_bases = run(search)
+        want, want_bases = run(reference_optimize_degenerate_basis)
+        assert len(got_bases) == len(want_bases) == len(SEARCH_MEASURES)
+        for a, b in zip(got + got_bases, want + want_bases):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @pytest.mark.parametrize("d_a, n_blocks", [(2, 1), (3, 1), (4, 2)])
+    def test_grid_is_one_stacked_call_per_block(self, d_a, n_blocks):
+        state = degenerate_marginal_state(np.random.default_rng(d_a), d_a, 2)
+        dec = state.marginal_eig
+        assert len(dec.degenerate_blocks) == n_blocks
+        shapes = []
+
+        def entropy(bases):
+            shapes.append(bases.shape)
+            vals = np.linalg.eigvalsh(blocks_a(state.rho, d_a, 2, bases))
+            return spectrum_entropy(vals.reshape(*bases.shape[:-2], -1))
+
+        dd._optimize_degenerate_basis(dec, entropy)
+        assert shapes[:n_blocks] == [(48 * 24, d_a, d_a)] * n_blocks
+        assert len(shapes) > n_blocks
+        assert set(shapes[n_blocks:]) == {(d_a, d_a)}  # Nelder-Mead, one basis a call
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_maximally_mixed_marginal_gives_the_optimized_discord(self, rank):
+        """With rho_A = I/2 every basis of A is an eigenbasis of rho_A, so the
+        diagonal discord minimized over them is the optimized discord: the
+        Nelder-Mead search and the Bloch-form Newton optimizer must agree."""
+        for seed in range(40):
+            s = degenerate_marginal_state(np.random.default_rng([seed, rank]), 2, 2, rank)
+            assert s.marginal_eig.degenerate
+            [opt] = dd.optimized_discord_2q([s])
+            assert abs(dd.diagonal_discord(s, optimize_degenerate=True) - opt.value) <= 1e-12
 
 
 class TestPiMulti:
