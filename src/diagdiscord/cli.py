@@ -22,6 +22,7 @@ from . import experiments as ex
 from .errors import (
     DegenerateMarginal,
     DiagDiscordError,
+    InvalidP,
     ParseError,
 )
 from .states import (
@@ -172,7 +173,10 @@ def _cmd_discord(args) -> int:
             file=sys.stderr,
         )
     elif args.mode == "generalized":
-        delta = dd.SchattenNorm(_parse(float, args.p, "--p"))
+        try:
+            delta = dd.SchattenNorm(_parse(float, args.p, "--p"))
+        except InvalidP as exc:
+            raise ParseError(f"--p = {args.p!r}: {exc}") from exc
         value = dd.generalized_discord(state, delta, optimize_degenerate=args.optimize_degenerate)
         print(f"{value:.12f}")
     else:

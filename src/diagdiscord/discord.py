@@ -309,10 +309,22 @@ def _grid_directions(n_theta: int, n_phi: int) -> np.ndarray:
     return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
 
 
-_GRID_N = _grid_directions(64, 32)
+# n and -n are one measurement, so the theta <= pi/2 half of a 64x32 grid
+# (theta_0 .. theta_31 at every phi) holds one of each antipodal pair.
+_HALF_GRID = _grid_directions(64, 32)[: 32 * 32]
+#: the index pairs (i, j), i <= j, of a symmetric quadratic form n^T M n
+_PAIRS = ([0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2])
+#: x, y, z of the half grid, and x^2, y^2, z^2, 2xy, 2xz, 2yz: one row each
+_HALF_LINEAR = np.ascontiguousarray(_HALF_GRID.T)
+_HALF_QUADRATIC = (
+    _HALF_LINEAR[_PAIRS[0]] * _HALF_LINEAR[_PAIRS[1]] * np.array([1.0, 1, 1, 2, 2, 2])[:, None]
+)
+#: states evaluated on the half grid at once; (16, 1024) temporaries stay in cache
+_GRID_CHUNK = 16
 # glibc keeps freed heap mapped up to twice the largest mmap block freed so
-# far. Freeing this 2 MiB one keeps each state's grid temporaries (a few
-# hundred KiB) mapped; else they fault in again per state, 1.5x the time.
+# far. Freeing this 2 MiB one keeps the chunk temporaries (128 KiB each, the
+# default mmap threshold) mapped across chunks and calls; else they fault in
+# again: 7 000 minor faults in 15 xstate rounds of 300 states, against 850.
 np.empty(1 << 18)
 #: I, sigma_x, sigma_y, sigma_z
 _PAULI = np.array(
@@ -363,6 +375,49 @@ def _objective(n: np.ndarray, a, b, t) -> np.ndarray:
     return _conditional_entropy(
         np.einsum("ki,ki->k", a, n), np.einsum("kij,ki->kj", t, n), b
     )
+
+
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x ln x, with 0 for x <= 0."""
+    return x * np.log(np.where(x > 0.0, x, 1.0))
+
+
+def _grid_form(coef: np.ndarray, monomials: np.ndarray) -> np.ndarray:
+    """sum_i coef[:, i] monomials[i]: one elementwise product and sum per term."""
+    out = coef[:, 0, None] * monomials[0]
+    for i in range(1, len(monomials)):
+        out += coef[:, i, None] * monomials[i]
+    return out
+
+
+def _grid_minimizers(a, b, t) -> np.ndarray:
+    """Each state's least direction (k, 3) on the half direction grid.
+
+    With |b +- T^T n|^2 = |b|^2 +- 2 n.(Tb) + n^T (T T^T) n a state enters
+    only through a, Tb, T T^T and |b|^2, against the fixed grid monomials,
+    and ln 2 times the objective is sum_+- [x ln x (p_+-)
+    - x ln x (lam_+-,+) - x ln x (lam_+-,-)]. The stack is evaluated
+    _GRID_CHUNK states at a time. Every product and sum is elementwise, with
+    no BLAS, so a row's bits depend neither on the stack nor on its chunk.
+    """
+    tb2 = 2.0 * (t[:, :, 0] * b[:, None, 0] + t[:, :, 1] * b[:, None, 1]
+                 + t[:, :, 2] * b[:, None, 2])
+    tt = t[:, :, None, 0] * t[:, None, :, 0] + t[:, :, None, 1] * t[:, None, :, 1]
+    tt += t[:, :, None, 2] * t[:, None, :, 2]
+    tt = tt[:, _PAIRS[0], _PAIRS[1]]
+    bb = (b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1] + b[:, 2] * b[:, 2])[:, None]
+    best = np.empty(len(a), dtype=np.intp)
+    for start in range(0, len(a), _GRID_CHUNK):
+        chunk = slice(start, start + _GRID_CHUNK)
+        u = _grid_form(a[chunk], _HALF_LINEAR)
+        s = _grid_form(tb2[chunk], _HALF_LINEAR)
+        rr = _grid_form(tt[chunk], _HALF_QUADRATIC) + bb[chunk]
+        g = np.zeros_like(u)
+        for q, r2 in ((1.0 + u, rr + s), (1.0 - u, rr - s)):
+            r = np.sqrt(np.maximum(r2, 0.0))
+            g += _xlogx(0.5 * q) - _xlogx(0.25 * (q + r)) - _xlogx(0.25 * (q - r))
+        best[chunk] = np.argmin(g, axis=-1)
+    return _HALF_GRID[best]
 
 
 def _gradient_hessian(n: np.ndarray, a, b, t):
@@ -460,14 +515,15 @@ def optimized_discord_2q(
     sum_k p_k S(rho_B|k), the conditional entropy after measuring A in the
     basis (I +- n.sigma)/2. With the Bloch form of Luo (PRA 77, 042303
     (2008)) it is a smooth function of n (see ``_conditional_entropy``).
-    Each state is evaluated on a 64x32 (theta, phi) direction grid, one
-    (2048, 3) @ (3, 3) product per state; then every state's best grid
-    point is refined at once by projected Newton with the analytic gradient
-    and Hessian. The value is the least of the grid point, the Newton point
-    and the marginal eigenbasis n_e = v^dag sigma v, so it never exceeds
-    the grid value, nor the diagonal discord beyond rounding (the two
-    evaluate the eigenbasis by different formulas). theta and phi are the
-    polar angles of the winning n.
+    The whole stack is evaluated, _GRID_CHUNK states at a time, on the
+    theta <= pi/2 half of a 64x32 (theta, phi) direction grid by a closed
+    form in the grid monomials (``_grid_minimizers``); each state's best
+    grid point is scored by ``_objective`` and then all are refined at once
+    by projected Newton with the analytic gradient and Hessian. The value is
+    the least of the grid point, the Newton point and the marginal
+    eigenbasis n_e = v^dag sigma v, so it never exceeds the grid value, nor
+    the diagonal discord beyond rounding (the two evaluate the eigenbasis by
+    different formulas). theta and phi are the polar angles of the winning n.
 
     ``states`` is a stack (N, 4, 4) of states, or a sequence of single
     states, which is stacked at entry; the result has one entry per state.
@@ -484,12 +540,8 @@ def optimized_discord_2q(
             "optimized_discord_2q requires a stack (N, 4, 4) with d_A = d_B = 2"
         )
     a, b, t = _bloch_form(states.rho)
-    n_grid = np.empty_like(a)
-    f_grid = np.empty(len(states))
-    for k in range(len(states)):
-        values = _conditional_entropy(_GRID_N @ a[k], _GRID_N @ t[k], b[k])
-        g = int(np.argmin(values))
-        n_grid[k], f_grid[k] = _GRID_N[g], values[g]
+    n_grid = _grid_minimizers(a, b, t)
+    f_grid = _objective(n_grid, a, b, t)
     n_newton, f_newton = _newton_refine(n_grid, f_grid, a, b, t)
     dec = states.marginal_eig
     v = dec.eigenvectors[:, :, 0]

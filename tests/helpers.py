@@ -123,6 +123,22 @@ def _conditional_entropy_at(rho, theta, phi):
     return total
 
 
+def reference_grid_values(a, b, t):
+    """The former grid of ``optimized_discord_2q``, one state at a time.
+
+    Every state's conditional entropy at each of the 2048 directions of the
+    full 64x32 (theta, phi) grid, one (2048, 3) @ (3, 3) product per state,
+    as (values (k, 2048), grid (2048, 3)).
+    """
+    from diagdiscord.discord import _conditional_entropy, _grid_directions
+
+    grid = _grid_directions(64, 32)
+    values = np.stack(
+        [_conditional_entropy(grid @ a[k], grid @ t[k], b[k]) for k in range(len(a))]
+    )
+    return values, grid
+
+
 def reference_optimized_discord_2q(state):
     """Two-qubit Ollivier-Zurek discord on A by a (theta, phi) grid and Nelder-Mead.
 

@@ -83,6 +83,16 @@ class TestDiscordCommand:
         err = capsys.readouterr().err
         assert flag in err and repr(value) in err
 
+    @pytest.mark.parametrize(
+        "p, code", [("0.5", cli.EXIT_PARSE), ("nan", cli.EXIT_PARSE), ("inf", cli.EXIT_OK)]
+    )
+    def test_schatten_exponent_is_checked_as_input(self, bell_file, capsys, p, code):
+        argv = ["discord", bell_file, "--mode", "generalized", "--p", p, "--optimize-degenerate"]
+        assert cli.main(argv) == code
+        err = capsys.readouterr().err
+        if code == cli.EXIT_PARSE:
+            assert err.startswith("parse error:") and "--p" in err and repr(p) in err
+
     def test_multi_mode(self, tmp_path, capsys):
         rho = 0.8 * bell_state().rho + 0.2 * np.diag([0.4, 0.3, 0.2, 0.1])
         path = tmp_path / "multi.txt"

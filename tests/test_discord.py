@@ -19,6 +19,7 @@ from helpers import (
     haar,
     random_density,
     random_state,
+    reference_grid_values,
     reference_optimize_degenerate_basis,
     reference_optimized_discord_2q,
 )
@@ -415,6 +416,88 @@ def _reference_states(seed):
             out.append(s)
     out.extend(random_state(rng, 2, 2, 1 + k % 4) for k in range(12))
     return out
+
+
+def _grid_test_stacks(seed, n=40):
+    """Seeded two-qubit stacks by kind, as (kind, (n, 4, 4) matrices)."""
+    rng = np.random.default_rng(seed)
+
+    def cq(basis, rank):
+        return st.classical_quantum_state(
+            rng.dirichlet(np.ones(2)), basis, [random_density(rng, 2, rank) for _ in range(2)]
+        ).rho
+
+    def product(rank_a, rank_b):
+        return np.kron(random_density(rng, 2, rank_a), random_density(rng, 2, rank_b))
+
+    return [
+        ("random", np.stack([random_density(rng, 4) for _ in range(n)])),
+        ("x-state", st.x_state_matrix([st.sample_x_params(rng).as_row() for _ in range(n)])),
+        ("classical-quantum", np.stack([cq(haar(rng, 2), 2) for _ in range(n)])),
+        ("product", np.stack([product(2, 2) for _ in range(n)])),
+        # pure conditional states of B: q - r is 0 up to rounding at every
+        # direction (pure product states) or at the computational basis
+        ("pure product", np.stack([product(1 + k % 2, 1) for k in range(n)])),
+        ("pure conditional", np.stack([cq(np.eye(2), 1) for _ in range(n)])),
+        ("pure conditional, rotated", np.stack([cq(haar(rng, 2), 1) for _ in range(n)])),
+    ]
+
+
+#: how far the half grid's minimum, scored by ``_objective``, may lie from the
+#: full per-state grid's. Both are rounding: a state's two antipodal grid
+#: points differ in their last bits, and the grid loop keeps the luckier one.
+#: On full-rank random and X-states that stays below 7e-16 (3000 states each);
+#: where a conditional eigenvalue of B is near 0, the slope of x log x there
+#: amplifies it, to 2e-15 on rank-2 and classical-quantum states and 9e-15 on
+#: pure ones, whose conditional entropy is 0 at every direction.
+GRID_TOL = {"random": 1e-15, "x-state": 1e-15}
+GRID_TOL_NEAR_ZERO_EIGENVALUE = 2e-14
+
+
+class TestGridMinimizers:
+    @pytest.mark.parametrize("seed", [30, 31])
+    def test_half_grid_minimum_matches_the_per_state_full_grid(self, seed):
+        for kind, rhos in _grid_test_stacks(seed):
+            a, b, t = dd._bloch_form(rhos)
+            n = dd._grid_minimizers(a, b, t)
+            got = dd._objective(n, a, b, t)
+            values, grid = reference_grid_values(a, b, t)
+            want = values.min(axis=-1)
+            tol = GRID_TOL.get(kind, GRID_TOL_NEAR_ZERO_EIGENVALUE)
+            assert np.all(np.isfinite(got)), kind
+            assert np.max(np.abs(got - want)) <= tol, kind
+            # where the full grid has one least measurement, clear of every
+            # other by 1e-9, the half grid picks it (as n or as -n)
+            ref_n = grid[np.argmin(values, axis=-1)]
+            other = np.abs(np.einsum("kj,gj->kg", ref_n, grid)) < 1.0 - 1e-9
+            clear = np.all(~other | (values > want[:, None] + 1e-9), axis=-1)
+            parallel = np.abs(np.einsum("kj,kj->k", n, ref_n))
+            assert np.all(parallel[clear] >= 1.0 - 1e-12), kind
+
+    def test_minimizers_lie_on_the_upper_half_grid(self):
+        for _, rhos in _grid_test_stacks(32, n=8):
+            n = dd._grid_minimizers(*dd._bloch_form(rhos))
+            assert np.all(n[:, 2] > 0.0)
+            assert all(any((row == g).all() for g in dd._HALF_GRID) for row in n)
+
+    @pytest.mark.parametrize(
+        "chunks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
+        ids=["1", "C-1", "C", "C+1", "2C+3"],
+    )
+    @pytest.mark.parametrize("x_states", [False, True])
+    def test_rows_across_chunks_equal_single_state_calls(self, chunks, extra, x_states):
+        size = chunks * dd._GRID_CHUNK + extra
+        rng = np.random.default_rng(33 + size)
+        if x_states:
+            rhos = st.x_state_matrix([st.sample_x_params(rng).as_row() for _ in range(size)])
+        else:
+            rhos = np.stack([random_density(rng, 4) for _ in range(size)])
+        stacked = dd.optimized_discord_2q(st.BipartiteState(rhos, 2, 2))
+        assert len(stacked) == size
+        for rho, got in zip(rhos, stacked):
+            [want] = dd.optimized_discord_2q([st.BipartiteState(rho, 2, 2)])
+            got, want = (np.array([r.value, r.theta, r.phi]).tobytes() for r in (got, want))
+            assert got == want
 
 
 class TestOptimizedDiscord:

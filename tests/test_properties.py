@@ -137,6 +137,18 @@ def test_pure_product_states_have_no_optimized_discord(seed):
     assert res.value <= 1e-9
 
 
+@SETTINGS
+@given(seed=SEEDS, rank=hs.integers(1, 4), x_state=hs.booleans())
+def test_optimized_discord_objective_is_even_in_the_direction(seed, rank, x_state):
+    # n and -n are one measurement; the direction grid keeps only one of them
+    s = _two_qubit(seed, rank, x_state)
+    a, b, t = dd._bloch_form(s.rho[None])
+    n = np.random.default_rng(seed + 2).normal(size=(16, 3))
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    a, b, t = (np.repeat(m, len(n), axis=0) for m in (a, b, t))
+    assert _close(dd._objective(n, a, b, t), dd._objective(-n, a, b, t), 1e-15)
+
+
 # --- stacked kernels: row i of a stack is the kernel applied to row i ---------
 
 STACKS = hs.tuples(hs.sampled_from([2, 3, 4]), hs.sampled_from([1, 2, 3]), hs.integers(1, 8))
