@@ -18,17 +18,19 @@ from .errors import (
     DegenerateOutput,
     DimensionMismatch,
     InvalidChannel,
-    InvalidDistribution,
     NotDensityMatrix,
     NotPositiveSemidefinite,
     OutOfRange,
     ParseError,
 )
-from .linalg import DEGENERACY_TOL, hermitian_eig, trace_norm
+from .linalg import hermitian_eig, trace_norm
 from .states import (
     BipartiteState,
+    _check_distribution,
     _format_matrix_rows,
     _parse_matrix_rows,
+    _read_text,
+    _write_text,
     conjugate_a,
     ptrace_a,
     ptrace_b,
@@ -137,11 +139,7 @@ class MixedUnitaryChannel(QuantumChannel):
     unitaries: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1 or len(probs) == 0:
-            raise InvalidDistribution("probs must be a non-empty vector")
-        if np.any(probs < -1e-12) or abs(probs.sum() - 1.0) > 1e-10:
-            raise InvalidDistribution(f"probs {probs} is not a distribution")
+        probs = _check_distribution(self.probs)
         unitaries = tuple(
             _check_unitary(u, f"U_{i}") for i, u in enumerate(self.unitaries)
         )
@@ -294,7 +292,7 @@ def qubit_mu_commuting_condition(
     psi, psi_bar = basis[:, 0], basis[:, 1]
     out = channel.apply(np.outer(psi, psi.conj()))
     dec = hermitian_eig(out)
-    if dec.min_gap < DEGENERACY_TOL:
+    if dec.degenerate:
         # maximally mixed output: every basis is a common eigenbasis, so the
         # violation over all admissible choices is the operator norm of
         # A = sum_mu p_mu U_mu |psi><psi_bar| U_mu^dag (max_eta |<eta|A|eta>|
@@ -635,14 +633,8 @@ def _parse_channel(lines: list[str], pos: int) -> tuple[QuantumChannel, int]:
 
 
 def save_channel(channel: QuantumChannel, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(channel_to_text(channel))
+    _write_text(path, channel_to_text(channel))
 
 
 def load_channel(path) -> QuantumChannel:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not a text file: {exc}") from exc
-    return channel_from_text(text)
+    return channel_from_text(_read_text(path))

@@ -3,8 +3,8 @@
 Subcommands: ``discord`` (one-off calculator), ``experiment`` (reproduction
 harnesses, CSV/SVG output), ``classify`` (channel-file verdicts), and
 ``sample`` (state-file generation). Results go to stdout, diagnostics to
-stderr. Exit codes: 0 success, 2 degenerate marginal, 3 parse error,
-4 invariant violation, 5 I/O error.
+stderr. Exit codes: 0 success, 2 degenerate marginal, 3 parse error or
+argument out of range, 4 invariant violation, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -23,10 +23,14 @@ from .errors import (
     DegenerateMarginal,
     DiagDiscordError,
     InvalidP,
+    InvalidRank,
+    OutOfRange,
     ParseError,
 )
 from .states import (
     MultipartiteState,
+    _read_text,
+    _write_text,
     load_state,
     sample_random_bipartite,
     sample_x_state,
@@ -48,15 +52,12 @@ def _fmt(x: float) -> str:
 
 
 def write_rows_csv(path: Path, columns: list[str], rows: np.ndarray) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    lines = [",".join(columns), *(",".join(_fmt(v) for v in row) for row in rows)]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_rows_csv(path: Path) -> tuple[list[str], np.ndarray]:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise ParseError(f"{path}: empty CSV")
     columns = lines[0].split(",")
@@ -67,19 +68,14 @@ def read_rows_csv(path: Path) -> tuple[list[str], np.ndarray]:
 
 
 def write_summary_csv(path: Path, record: ex.ExperimentRecord) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("key,value\n")
-        fh.write(f"experiment_id,{record.experiment_id}\n")
-        fh.write(f"seed,{record.seed}\n")
-        for key, value in record.inputs.items():
-            fh.write(f"input.{key},{value}\n")
-        for key, value in record.summary.items():
-            fh.write(f"{key},{_fmt(value)}\n")
+    lines = ["key,value", f"experiment_id,{record.experiment_id}", f"seed,{record.seed}"]
+    lines += [f"input.{key},{value}" for key, value in record.inputs.items()]
+    lines += [f"{key},{_fmt(value)}" for key, value in record.summary.items()]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_summary_csv(path: Path) -> dict[str, str]:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     out: dict[str, str] = {}
     for line in lines[1:]:
         key, _, value = line.partition(",")
@@ -130,8 +126,7 @@ def write_scatter_svg(
             f'fill="steelblue" fill-opacity="0.55"/>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_text(path, "\n".join(parts) + "\n")
 
 
 def _parse(kind: type, text: str, name: str):
@@ -293,8 +288,15 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises ParseError on a usage error, so that it exits EXIT_PARSE, not 2."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="diagdiscord",
         description="Diagonal quantum discord calculator and experiment runner",
     )
@@ -355,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except DegenerateMarginal as exc:
         print(f"degenerate marginal: {exc}", file=sys.stderr)
@@ -365,7 +367,7 @@ def main(argv=None) -> int:
         if exc.party is not None:
             print(f"offending party: {exc.party}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except ParseError as exc:
+    except (ParseError, OutOfRange, InvalidRank, InvalidP) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DiagDiscordError as exc:

@@ -22,6 +22,7 @@ from .errors import (
     OutOfRange,
 )
 from .linalg import (
+    _LN2,
     SpectralDecomposition,
     binary_entropy,
     first_bad_row,
@@ -30,6 +31,7 @@ from .linalg import (
     schatten_norm,
     spectrum_entropy,
     von_neumann_entropy,
+    xlogx,
 )
 from .states import (
     BipartiteState,
@@ -39,9 +41,6 @@ from .states import (
     ptrace_a,
     ptrace_b,
 )
-
-_LN2 = math.log(2.0)
-
 
 class DistanceMeasure:
     """Marker base for the distance used by generalized discord."""
@@ -219,14 +218,13 @@ def diagonal_discord(state: BipartiteState, optimize_degenerate: bool = False) -
 
 def _marginal_entropies(state: BipartiteState) -> float:
     """S(rho_A) + S(rho_B), S(rho_A) from the kept marginal decomposition."""
-    return max(spectrum_entropy(state.marginal_eig.eigenvalues), 0.0) + von_neumann_entropy(
-        ptrace_a(state.rho, state.dim_a, state.dim_b)
-    )
+    s_a = np.maximum(spectrum_entropy(state.marginal_eig.eigenvalues), 0.0)
+    return s_a + von_neumann_entropy(ptrace_a(state.rho, state.dim_a, state.dim_b))
 
 
 def mutual_information(state: BipartiteState) -> float:
-    """I(A:B) = S(rho_A) + S(rho_B) - S(rho_AB) in bits."""
-    return max(_marginal_entropies(state) - state.entropy, 0.0)
+    """I(A:B) = S(rho_A) + S(rho_B) - S(rho_AB) in bits, one per row of a stack."""
+    return np.maximum(_marginal_entropies(state) - state.entropy, 0.0)
 
 
 def diagonal_discord_via_mi(
@@ -239,9 +237,9 @@ def diagonal_discord_via_mi(
     """
     res = pi_a(state, optimize_degenerate)
     marginals = _marginal_entropies(state)
-    before = max(marginals - state.entropy, 0.0)
-    after = max(marginals - res.dephased.entropy, 0.0)
-    return max(before - after, 0.0)
+    before = np.maximum(marginals - state.entropy, 0.0)
+    after = np.maximum(marginals - res.dephased.entropy, 0.0)
+    return np.maximum(before - after, 0.0)
 
 
 def generalized_discord(
@@ -252,7 +250,8 @@ def generalized_discord(
     """delta(rho, pi_A(rho)) for the chosen distance measure.
 
     In degenerate-optimizing mode the distance itself is minimized over the
-    eigenbases of the degenerate blocks.
+    eigenbases of the degenerate blocks. Relative entropy is the scalar
+    cross-check: a stack raises DimensionMismatch.
     """
     if isinstance(delta, RelativeEntropy):
         res = pi_a(state, optimize_degenerate)
@@ -321,10 +320,12 @@ _HALF_QUADRATIC = (
 )
 #: states evaluated on the half grid at once; (16, 1024) temporaries stay in cache
 _GRID_CHUNK = 16
-# glibc keeps freed heap mapped up to twice the largest mmap block freed so
-# far. Freeing this 2 MiB one keeps the chunk temporaries (128 KiB each, the
-# default mmap threshold) mapped across chunks and calls; else they fault in
-# again: 7 000 minor faults in 15 xstate rounds of 300 states, against 850.
+# glibc raises its mmap threshold to the largest mmapped block freed so far.
+# Freeing this 2 MiB one keeps every array of 128 KiB (the default) to 2 MiB
+# on the heap, mapped across calls: the grid's chunk temporaries and every
+# workload's stacks, such as monotonicity's 600 x 4x4 complex ones. Else they
+# fault in again: 6 400 minor faults against 23 in 15 xstate rounds of 300
+# states, 9 000 against 0 in 8 monotonicity rounds of 3 x 600 states.
 np.empty(1 << 18)
 #: I, sigma_x, sigma_y, sigma_z
 _PAULI = np.array(
@@ -351,22 +352,17 @@ def _bloch_form(rhos: np.ndarray):
     return m[:, 1:, 0], m[:, 0, 1:], m[:, 1:, 1:]
 
 
-def _h(x: np.ndarray) -> np.ndarray:
-    """-x log2 x, with 0 for x <= 0."""
-    pos = x > 0.0
-    return np.where(pos, -x * np.log(np.where(pos, x, 1.0)), 0.0) / _LN2
-
-
 def _conditional_entropy(u: np.ndarray, tn: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_+- [h(lam_+-,+) + h(lam_+-,-) - h(p_+-)] for u = a.n and tn = T^T n.
 
-    p_+- = (1 +- u)/2 and lam_+-,+- = ((1 +- u) +- |b +- T^T n|)/4 are the
-    outcome probabilities and the unnormalized conditional spectra of B.
+    Here h(x) = -x log2 x, and p_+- = (1 +- u)/2 and lam_+-,+- =
+    ((1 +- u) +- |b +- T^T n|)/4 are the outcome probabilities and the
+    unnormalized conditional spectra of B.
     """
     q = 1.0 + np.stack([u, -u])
     w = b + np.stack([tn, -tn])
     r = np.sqrt(np.einsum("...i,...i->...", w, w))
-    h = _h(np.stack([(q + r) / 4.0, (q - r) / 4.0, q / 2.0]))
+    h = -xlogx(np.stack([(q + r) / 4.0, (q - r) / 4.0, q / 2.0])) / _LN2
     return (h[0] + h[1] - h[2]).sum(axis=0)
 
 
@@ -375,11 +371,6 @@ def _objective(n: np.ndarray, a, b, t) -> np.ndarray:
     return _conditional_entropy(
         np.einsum("ki,ki->k", a, n), np.einsum("kij,ki->kj", t, n), b
     )
-
-
-def _xlogx(x: np.ndarray) -> np.ndarray:
-    """x ln x, with 0 for x <= 0."""
-    return x * np.log(np.where(x > 0.0, x, 1.0))
 
 
 def _grid_form(coef: np.ndarray, monomials: np.ndarray) -> np.ndarray:
@@ -415,7 +406,7 @@ def _grid_minimizers(a, b, t) -> np.ndarray:
         g = np.zeros_like(u)
         for q, r2 in ((1.0 + u, rr + s), (1.0 - u, rr - s)):
             r = np.sqrt(np.maximum(r2, 0.0))
-            g += _xlogx(0.5 * q) - _xlogx(0.25 * (q + r)) - _xlogx(0.25 * (q - r))
+            g += xlogx(0.5 * q) - xlogx(0.25 * (q + r)) - xlogx(0.25 * (q - r))
         best[chunk] = np.argmin(g, axis=-1)
     return _HALF_GRID[best]
 

@@ -42,8 +42,6 @@ from .states import (
 
 #: D_after may exceed D_before by at most this much before counting as violation
 MONOTONICITY_TOL = 1e-9
-#: marginal min-gap below which a sample is treated as degenerate
-MARGINAL_GAP_TOL = 1e-8
 UPPER_BOUND_TOL = 1e-9
 #: X-states run_xstate_comparison draws per sample before giving up; 1 of
 #: 10^6 valid X-states has a marginal gap below DEGENERACY_TOL.
@@ -79,7 +77,7 @@ class ExperimentRecord:
 
 def sample_rng(seed: int, *key: int) -> np.random.Generator:
     """Independent per-sample generator derived from (seed, key)."""
-    return np.random.default_rng([int(seed), *map(int, key)])
+    return np.random.default_rng([_check_seed(seed), *map(int, key)])
 
 
 def _check_seed(seed: int) -> int:
@@ -380,7 +378,7 @@ def run_continuity_check(
             state, extra = sample_nondegenerate(rng, d_a, d_b, d)
             resampled_base += extra
             gap = state.marginal_eig.min_gap
-            if gap >= MARGINAL_GAP_TOL and _domain_ok(gap):
+            if _domain_ok(gap):
                 break
             largest_gap = max(largest_gap, gap)
             resampled_base += 1

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     ConvergenceFailure,
+    DimensionMismatch,
     InvalidP,
     InvariantViolation,
     NotDensityMatrix,
@@ -163,13 +164,17 @@ def density_eigenvalues(rho, what: str = "state") -> np.ndarray:
     return vals
 
 
+def xlogx(x: np.ndarray) -> np.ndarray:
+    """x ln x elementwise, with 0 for x <= 0."""
+    return x * np.log(np.where(x > 0.0, x, 1.0))
+
+
 def spectrum_entropy(vals: np.ndarray):
     """-sum v log2 v over the positive entries of an eigenvalue array (bits).
 
     A stack of spectra (..., d) gives one entropy per row.
     """
-    safe = np.where(vals > 0.0, vals, 1.0)  # 1 log 1 = 0 drops the rest
-    return -(safe * np.log(safe)).sum(axis=-1) / _LN2
+    return -xlogx(vals).sum(axis=-1) / _LN2
 
 
 def von_neumann_entropy(rho) -> float:
@@ -184,12 +189,15 @@ def relative_entropy(rho, sigma) -> float:
     sigma (the divergence is +inf there). The value is never negative
     (Klein's inequality): round-off down to -RELATIVE_ENTROPY_FLOOR_TOL is
     clamped to 0, and anything lower raises InvariantViolation, since it
-    means the two spectra were not computed consistently.
+    means the two spectra were not computed consistently. It is the scalar
+    cross-check: a stack raises DimensionMismatch.
     """
     rho_vals = density_eigenvalues(rho)
     density_eigenvalues(sigma, "sigma")
-    rho = np.asarray(rho, dtype=complex)
-    svals, svecs = np.linalg.eigh(np.asarray(sigma, dtype=complex))
+    rho, sigma = np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
+    if rho.ndim != 2 or rho.shape != sigma.shape:
+        raise DimensionMismatch(f"relative entropy of shapes {rho.shape}, {sigma.shape}")
+    svals, svecs = np.linalg.eigh(sigma)
 
     overlaps = np.real(np.einsum("ij,jk,ki->i", svecs.conj().T, rho, svecs))
     on_null = svals <= SUPPORT_TOL

@@ -26,7 +26,6 @@ from .errors import (
     ParseError,
 )
 from .linalg import (
-    DEGENERACY_TOL,
     SpectralDecomposition,
     density_eigenvalues,
     hermitian_eig,
@@ -402,49 +401,48 @@ def sample_nondegenerate(
     The marginal decomposition used by the test stays cached on the state.
     With ``size`` the state is a stack of that many rows, equal to those of
     ``size`` calls without it, and the generator ends in the same state.
-    The rows are drawn and tested as one block. If row r of a block is
-    degenerate, the rows before it are kept, the generator is rewound to the
-    block's start and draws rows 0..r again, and the next block, of the
-    rows still missing, starts with row r's redraw, as the one-at-a-time
-    loop would.
+    Each block keeps its nondegenerate rows in draw order, and the next
+    block draws the rows still missing. A block holds at most as many rows
+    as are missing, and no more than the budget the current state has left,
+    so it never draws a row the one-at-a-time loop would not.
     """
     parts, rejected, streak = [], 0, 0
-    need = 1 if size is None else size
+    missing = 1 if size is None else size
     while True:
-        start = rng.bit_generator.state if need > 1 else None  # one row is never rewound
-        state = sample_random_bipartite(
-            rng, d_a, d_b, rank, None if size is None else need
-        )
-        bad = np.flatnonzero(state.marginal_eig.degenerate)
-        if not len(bad):
+        n = min(missing, NONDEGENERATE_BUDGET - streak)
+        state = sample_random_bipartite(rng, d_a, d_b, rank, None if size is None else n)
+        kept = np.flatnonzero(~np.atleast_1d(state.marginal_eig.degenerate))
+        if len(kept) == missing:
             break
-        r = int(bad[0])
-        if r + 1 < need:  # the rows after r were drawn ahead of row r's redraw
-            rng.bit_generator.state = start
-            ginibre(rng, d_a * d_b, rank, r + 1)
-        rejected += 1
-        streak = streak + 1 if r == 0 else 1
-        if streak == NONDEGENERATE_BUDGET:
+        rejected += n - len(kept)
+        # the draws spent on the state still open: the degenerate rows after the last kept one
+        streak = streak + n if not len(kept) else n - 1 - int(kept[-1])
+        if streak >= NONDEGENERATE_BUDGET:
             raise OutOfDomain(
                 f"all {NONDEGENERATE_BUDGET} sampled ({d_a},{d_b}) states of rank "
-                f"{rank or d_a * d_b} had a degenerate A-marginal (acceptance rate 0; "
-                f"gap below {DEGENERACY_TOL}); choose a larger rank"
+                f"{rank or d_a * d_b} had a degenerate A-marginal (acceptance rate 0); "
+                "choose a larger rank"
             )
-        if r:
-            parts.append(state.rho[:r])
-        need -= r
+        if len(kept):
+            parts.append(state.rho[kept])
+        missing -= len(kept)
     if parts:
         state = BipartiteState(np.concatenate([*parts, state.rho]), d_a, d_b)
     return state, rejected
 
 
-def classical_quantum_state(probs, basis, sigmas) -> BipartiteState:
-    """sum_i p_i |i><i| (x) sigma_i over an orthonormal A-basis."""
+def _check_distribution(probs) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or len(probs) == 0:
         raise InvalidDistribution("probs must be a non-empty vector")
     if np.any(probs < -1e-12) or abs(probs.sum() - 1.0) > 1e-10:
         raise InvalidDistribution(f"probs {probs} is not a distribution")
+    return probs
+
+
+def classical_quantum_state(probs, basis, sigmas) -> BipartiteState:
+    """sum_i p_i |i><i| (x) sigma_i over an orthonormal A-basis."""
+    probs = _check_distribution(probs)
     basis = np.asarray(basis, dtype=complex)
     if basis.ndim != 2 or basis.shape[1] != len(probs):
         raise DimensionMismatch(
@@ -520,15 +518,22 @@ def state_from_text(text: str) -> BipartiteState | MultipartiteState:
     return MultipartiteState(m, dims)
 
 
-def save_state(state: BipartiteState | MultipartiteState, path) -> None:
+def _write_text(path, text: str) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(state_to_text(state))
+        fh.write(text)
+
+
+def _read_text(path) -> str:
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a text file: {exc}") from exc
+
+
+def save_state(state: BipartiteState | MultipartiteState, path) -> None:
+    _write_text(path, state_to_text(state))
 
 
 def load_state(path) -> BipartiteState | MultipartiteState:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not a text file: {exc}") from exc
-    return state_from_text(text)
+    return state_from_text(_read_text(path))

@@ -11,6 +11,7 @@ from diagdiscord import channels as ch
 from diagdiscord import cli
 from diagdiscord import experiments as ex
 from diagdiscord import states as st
+from diagdiscord import errors
 from diagdiscord.errors import DegenerateMarginal
 from helpers import bell_state, random_density
 
@@ -318,6 +319,72 @@ class TestSampleCommand:
             s = st.load_state(p)
             assert s.dim_a == 2 and s.dim_b == 3
             assert von_neumann_entropy(s.rho) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        pytest.param(["experiment", "xstate", "--samples", "abc"], {}, id="samples=abc"),
+        pytest.param(["experiment", "xstate", "--samples", "0"], {}, id="samples=0"),
+        pytest.param(["experiment", "xstate", "--seed", "-1"], {}, id="seed=-1"),
+        pytest.param(["experiment", "xstate"], {"DD_SEED": "-1"}, id="DD_SEED=-1"),
+        pytest.param(["sample", "xstate", "--seed", "-1"], {}, id="sample-seed=-1"),
+        pytest.param(["experiment", "continuity", "--eps", "5"], {}, id="eps=5"),
+        pytest.param(["experiment", "classify-sweep", "--d-a", "1"], {}, id="d-a=1"),
+        pytest.param(["experiment", "xstate", "--tol-equality", "0"], {}, id="tol-equality=0"),
+        pytest.param(["sample", "random", "--rank", "9"], {}, id="rank=9"),
+        pytest.param(["experiment", "monotonicity", "--channel", "nosuch"], {}, id="channel=nosuch"),
+    ],
+)
+def test_bad_argument_exits_3(argv, env, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("DD_SEED", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert cli.main(argv + ["--output-dir", str(tmp_path)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error:")
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+#: the exit code README documents for each library error
+DOCUMENTED_EXIT_CODES = {
+    errors.DegenerateMarginal: cli.EXIT_DEGENERATE,
+    errors.ParseError: cli.EXIT_PARSE,
+    errors.OutOfRange: cli.EXIT_PARSE,
+    errors.InvalidRank: cli.EXIT_PARSE,
+    errors.InvalidP: cli.EXIT_PARSE,
+    errors.NotHermitian: cli.EXIT_INVARIANT,
+    errors.ConvergenceFailure: cli.EXIT_INVARIANT,
+    errors.NotDensityMatrix: cli.EXIT_INVARIANT,
+    errors.NotPositiveSemidefinite: cli.EXIT_INVARIANT,
+    errors.SupportViolation: cli.EXIT_INVARIANT,
+    errors.OutOfDomain: cli.EXIT_INVARIANT,
+    errors.InvariantViolation: cli.EXIT_INVARIANT,
+    errors.DimensionMismatch: cli.EXIT_INVARIANT,
+    errors.InvalidDistribution: cli.EXIT_INVARIANT,
+    errors.InvalidBasis: cli.EXIT_INVARIANT,
+    errors.InvalidChannel: cli.EXIT_INVARIANT,
+    errors.DegenerateOutput: cli.EXIT_INVARIANT,
+}
+
+
+@pytest.mark.parametrize(
+    "error", list(_subclasses(errors.DiagDiscordError)), ids=lambda e: e.__name__
+)
+def test_every_library_error_exits_with_its_documented_code(error, capsys, monkeypatch):
+    # a new error type is missing from the table, and fails here until it gets a code
+    def fail(args):
+        raise error("raised by the command")
+
+    monkeypatch.setattr(cli, "_cmd_sample", fail)
+    assert cli.main(["sample", "xstate"]) == DOCUMENTED_EXIT_CODES[error]
+    assert "raised by the command" in capsys.readouterr().err
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -15,7 +15,7 @@ from diagdiscord import channels as ch
 from diagdiscord import discord as dd
 from diagdiscord import linalg as la
 from diagdiscord import states as st
-from diagdiscord.errors import DegenerateMarginal, NotDensityMatrix
+from diagdiscord.errors import DegenerateMarginal, DimensionMismatch, NotDensityMatrix
 from diagdiscord.linalg import hermitian_eig, von_neumann_entropy
 from helpers import haar, random_density
 
@@ -221,12 +221,18 @@ def test_stacked_states_and_pi_a_equal_their_rows(seed, shape):
     states = st.BipartiteState(_random_stack(rng, d_a * d_b, n), d_a, d_b)
     assume(not states.marginal_eig.degenerate.any())
     res = dd.pi_a(states)
+    mi, via_mi = dd.mutual_information(states), dd.diagonal_discord_via_mi(states)
+    with pytest.raises(DimensionMismatch):  # relative entropy is the scalar cross-check
+        dd.generalized_discord(states, dd.RelativeEntropy())
     for i, rho in enumerate(states.rho):
-        one = dd.pi_a(st.BipartiteState(rho, d_a, d_b))
+        state = st.BipartiteState(rho, d_a, d_b)
+        one = dd.pi_a(state)
         assert _close(states.entropy[i], von_neumann_entropy(rho))
         assert _close(res.dephased.rho[i], one.dephased.rho)
         assert _close(res.value[i], one.value)
         assert res.degenerate[i] == one.degenerate
+        assert _close(mi[i], dd.mutual_information(state))
+        assert _close(via_mi[i], dd.diagonal_discord_via_mi(state))
 
 
 @SETTINGS

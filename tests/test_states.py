@@ -310,13 +310,16 @@ class TestRandomBipartite:
         assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_nondegenerate_stack_keeps_the_budget_per_state(self):
-        # a pure state on 3 x 1 has the degenerate marginal spectrum (0, 0, 1)
-        rng, twin = np.random.default_rng(15), np.random.default_rng(15)
-        with pytest.raises(OutOfDomain, match="all 1000 sampled"):
-            st.sample_nondegenerate(rng, 3, 1, 1, size=4)
-        with pytest.raises(OutOfDomain, match="all 1000 sampled"):
-            st.sample_nondegenerate(twin, 3, 1, 1)
-        assert rng.bit_generator.state == twin.bit_generator.state
+        # a pure state on 3 x 1 has the degenerate marginal spectrum (0, 0, 1);
+        # 3 and 7 do not divide the budget, so a block that did not stop at
+        # the budget left would draw past the one-at-a-time loop's last draw
+        for size in (4, 3, 7):
+            rng, twin = np.random.default_rng(15), np.random.default_rng(15)
+            with pytest.raises(OutOfDomain, match="all 1000 sampled"):
+                st.sample_nondegenerate(rng, 3, 1, 1, size=size)
+            with pytest.raises(OutOfDomain, match="all 1000 sampled"):
+                st.sample_nondegenerate(twin, 3, 1, 1)
+            assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestClassicalQuantum:
