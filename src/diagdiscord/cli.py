@@ -241,8 +241,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_classify(args) -> int:
     channel = ch.load_channel(args.channel_file)
     seed = _resolve_seed(args)
-    rng_c = ex.sample_rng(seed, 0)
-    rng_g = ex.sample_rng(seed, 1)
+    rng_c, rng_g = ex.sample_rngs(seed, [0, 1])
     rep_c = ch.commutes_with_pi(channel, args.trials, rng_c, d_b=args.d_b)
     rep_g = ch.is_discord_nongenerating(channel, args.trials, rng_g, d_b=args.d_b)
     verdict_c = ch.condition_verdict(

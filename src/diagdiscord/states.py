@@ -299,36 +299,64 @@ def _x_candidate_ok(r: np.ndarray) -> np.ndarray:
     return inside & (b >= np.abs(z)) & (a >= 0.0) & (d >= 0.0) & (a * d >= w * w)
 
 
-#: uniform draws in [-1, 1]^4 sample_x_params makes before giving up. 1.03%
-#: of draws are valid X-states (at most 922 draws per sample over 10^4
-#: samples), so running out by chance has probability about e^-103.
+#: uniform draws in [-1, 1]^4 sample_x_params makes per sample before giving
+#: up. 1.03% of draws are valid X-states (at most 922 draws per sample over
+#: 10^4 samples), so running out by chance has probability about e^-103.
 X_PARAMS_BUDGET = 10_000
-#: candidates sample_x_params draws per block; about 2.6 accepted per block
+#: candidates sample_x_params draws per sample and block; about 2.6 accepted per block
 _X_PARAMS_BLOCK = 256
+#: samples whose candidate blocks sample_x_params tests at once; 8 MB of candidates
+_X_PARAMS_STACK = 1024
 
 
-def sample_x_params(rng: np.random.Generator, return_attempts: bool = False):
+def sample_x_params(rng, return_attempts: bool = False):
     """Rejection-sample uniform Bloch coordinates of a valid symmetric X-state.
 
-    Candidates are drawn as blocks of 4-vectors and tested at once. Once a
-    block holds an accepted row j, the generator is rewound to the block's
-    start and rows 0..j are drawn again, so the result, the attempt count
-    and the generator's final state are those of drawing one candidate at a
-    time.
+    ``rng`` is one generator, which gives an XStateParams, or a sequence of
+    generators, which gives an (N, 4) array of (r6, r8, r9, r15) rows, row i
+    being what generator i gives alone. Each sample still open draws a block
+    of candidate 4-vectors, and the blocks of all open samples are tested at
+    once. Once a sample's block holds an accepted row j, its generator is set
+    back to its state on entry and advanced past the candidates up to row j,
+    4 draws each, so the result, the attempt count and the generator's final
+    state are those of drawing one candidate at a time (except that
+    ``advance`` drops a buffered 32-bit half-draw, which no caller leaves).
     """
-    attempts = 0
-    while attempts < X_PARAMS_BUDGET:
-        n = min(_X_PARAMS_BLOCK, X_PARAMS_BUDGET - attempts)
-        start = rng.bit_generator.state
-        accepted = np.flatnonzero(_x_candidate_ok(rng.uniform(-1.0, 1.0, size=(n, 4))))
-        if len(accepted):
-            j = int(accepted[0])
-            rng.bit_generator.state = start
-            params = XStateParams(*rng.uniform(-1.0, 1.0, size=(j + 1, 4))[j])
-            if return_attempts:
-                return params, attempts + j + 1
-            return params
-        attempts += n
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
+    params = np.empty((len(rngs), 4))
+    attempts = np.zeros(len(rngs), dtype=int)
+    for first in range(0, len(rngs), _X_PARAMS_STACK):
+        part = slice(first, first + _X_PARAMS_STACK)
+        _sample_x_stack(rngs[part], params[part], attempts[part])
+    if single:
+        params, attempts = XStateParams(*params[0]), int(attempts[0])
+    return (params, attempts) if return_attempts else params
+
+
+def _sample_x_stack(rngs, params: np.ndarray, attempts: np.ndarray) -> None:
+    """sample_x_params on a stack of generators, written into params and attempts."""
+    starts = [rng.bit_generator.state for rng in rngs]
+    open_rows = np.arange(len(rngs))
+    tried = 0
+    while tried < X_PARAMS_BUDGET:
+        n = min(_X_PARAMS_BLOCK, X_PARAMS_BUDGET - tried)
+        candidates = np.stack([rngs[i].uniform(-1.0, 1.0, size=(n, 4)) for i in open_rows])
+        ok = np.broadcast_to(
+            _x_candidate_ok(candidates.reshape(-1, 4)), (len(open_rows) * n,)
+        ).reshape(len(open_rows), n)
+        hit = ok.any(axis=1)
+        first = ok.argmax(axis=1)
+        for k in np.flatnonzero(hit):
+            i = open_rows[k]
+            params[i] = candidates[k, first[k]]
+            attempts[i] = tried + first[k] + 1
+            rngs[i].bit_generator.state = starts[i]
+            rngs[i].bit_generator.advance(4 * int(attempts[i]))
+        open_rows = open_rows[~hit]
+        if not len(open_rows):
+            return
+        tried += n
     raise OutOfDomain(
         f"0 of {X_PARAMS_BUDGET} uniform draws of (r6, r8, r9, r15) in [-1, 1]^4 "
         "gave a valid X-state; the expected acceptance rate is 1.03%"
@@ -340,6 +368,15 @@ def sample_x_state(rng: np.random.Generator) -> BipartiteState:
     return x_state_from_params(sample_x_params(rng))
 
 
+def check_rank(d: int, rank: int | None) -> int:
+    """The rank of a d x rank Ginibre matrix, d when None; InvalidRank outside 1..d."""
+    if rank is None:
+        return d
+    if not 1 <= rank <= d:
+        raise InvalidRank(f"rank {rank} outside 1..{d}")
+    return rank
+
+
 def ginibre(
     rng: np.random.Generator, d: int, rank: int | None = None, size: int | None = None
 ) -> np.ndarray:
@@ -349,10 +386,7 @@ def ginibre(
     block: the generator gives the same numbers and ends in the same state as
     ``size`` calls without it.
     """
-    if rank is None:
-        rank = d
-    if not 1 <= rank <= d:
-        raise InvalidRank(f"rank {rank} outside 1..{d}")
+    rank = check_rank(d, rank)
     if size is None:
         return rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     z = rng.normal(size=(size, 2, d, rank))
@@ -379,6 +413,8 @@ def sample_random_bipartite(
     state is a stack of that many rows, drawn and validated at once; row i is
     the state the (i+1)-th of ``size`` calls without it would return.
     """
+    if d_a < 1 or d_b < 1:
+        raise OutOfRange(f"subsystem dimensions ({d_a}, {d_b}) must be >= 1")
     return BipartiteState(ginibre_density(ginibre(rng, d_a * d_b, rank, size)), d_a, d_b)
 
 

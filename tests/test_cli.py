@@ -287,6 +287,12 @@ class TestClassifyCommand:
         assert "nongenerating-condition: generating" in out
         assert (out_dir / "witness_nongen.txt").exists()
 
+    def test_zero_d_b_is_named_as_a_dimension(self, tmp_path, capsys):
+        path = tmp_path / "ph.txt"
+        ch.save_channel(ch.probabilistic_hadamard(), path)
+        assert cli.main(["classify", str(path), "--d-b", "0"]) == cli.EXIT_PARSE
+        assert "subsystem dimensions (2, 0) must be >= 1" in capsys.readouterr().err
+
     def test_parse_error(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("wibble 7\n")
@@ -332,6 +338,10 @@ class TestSampleCommand:
         pytest.param(["experiment", "continuity", "--eps", "5"], {}, id="eps=5"),
         pytest.param(["experiment", "classify-sweep", "--d-a", "1"], {}, id="d-a=1"),
         pytest.param(["experiment", "xstate", "--tol-equality", "0"], {}, id="tol-equality=0"),
+        pytest.param(["experiment", "xstate", "--tol-equality", "nan"], {}, id="tol-equality=nan"),
+        pytest.param(["experiment", "continuity", "--dims", "0", "2"], {}, id="continuity-dims=0x2"),
+        pytest.param(["experiment", "continuity", "--dims", "1", "1"], {}, id="continuity-dims=1x1"),
+        pytest.param(["sample", "random", "--dims", "0", "2"], {}, id="sample-dims=0x2"),
         pytest.param(["sample", "random", "--rank", "9"], {}, id="rank=9"),
         pytest.param(["experiment", "monotonicity", "--channel", "nosuch"], {}, id="channel=nosuch"),
     ],
@@ -403,3 +413,17 @@ def test_importing_the_cli_loads_no_scipy():
         check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_importing_the_cli_loads_no_numpy_random():
+    """numpy.random is loaded by the first generator a command makes, not at start-up."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, diagdiscord.cli; print('numpy.random' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from diagdiscord import channels as ch
 from diagdiscord import discord as dd
 from diagdiscord import experiments as ex
 from diagdiscord import linalg as la
-from diagdiscord.errors import DegenerateMarginal, OutOfDomain, OutOfRange
+from diagdiscord.errors import DegenerateMarginal, InvalidRank, OutOfDomain, OutOfRange
 from helpers import (
     reference_mono_max_increase,
     reference_monotonicity,
@@ -20,10 +22,15 @@ class _MixedFirstDraw:
 
     def __init__(self, rng):
         self._rng = rng
-        self._first = [np.eye(4), np.zeros((4, 4))]  # real part, then imaginary part
+        # real part, then imaginary part
+        self._first = np.concatenate([np.eye(4).ravel(), np.zeros(16)])
 
     def normal(self, size=None):
-        return self._first.pop(0) if self._first else self._rng.normal(size=size)
+        if not len(self._first):
+            return self._rng.normal(size=size)
+        n = math.prod(size)  # one call for both parts, or one call each
+        out, self._first = self._first[:n], self._first[n:]
+        return out.reshape(size)
 
 
 class TestMonotonicity:
@@ -58,16 +65,22 @@ class TestMonotonicity:
         with pytest.raises(OutOfRange):
             ex.run_monotonicity("fig9z", samples=5, seed=0)
 
+    @pytest.mark.parametrize("rank", [0, 5])
+    def test_rank_outside_the_state_rejected(self, rank):
+        with pytest.raises(InvalidRank):
+            ex.run_monotonicity("fig2a", samples=5, seed=0, rank=rank)
+
     @pytest.mark.parametrize("case", ["fig2a", "depolarizing", "redrawn"])
     def test_stack_matches_the_per_sample_path(self, case, monkeypatch):
         channel = ex.resolve_channel("fig2a")[1]
         if case == "depolarizing":  # every output has the degenerate marginal I/2
             channel = ch.IsotropicChannel(1.0, np.eye(2, dtype=complex))
         if case == "redrawn":  # samples 2 and 5 reject their first draw
-            sample_rng = ex.sample_rng
-            monkeypatch.setattr(ex, "sample_rng", lambda seed, i: (
-                _MixedFirstDraw(sample_rng(seed, i)) if i in (2, 5) else sample_rng(seed, i)
-            ))
+            sample_rngs = ex.sample_rngs
+            monkeypatch.setattr(ex, "sample_rngs", lambda seed, keys: [
+                _MixedFirstDraw(rng) if np.ravel(key)[0] in (2, 5) else rng
+                for key, rng in zip(keys, sample_rngs(seed, keys))
+            ])
         rec = ex.run_monotonicity(channel, samples=8, seed=22)
         rows, resampled, degenerate = reference_monotonicity(channel, 8, 22)
         assert np.max(np.abs(rec.rows - rows)) <= 1e-14
@@ -170,6 +183,12 @@ class TestContinuity:
         assert rec.rows.shape == (50, 8)
         assert rec.summary["min_slack"] >= 0.0
         assert rec.summary["min_schatten_slack"] >= 0.0
+
+    @pytest.mark.parametrize("dims", [(1, 1), (0, 2), (2, 0), (-1, -2)])
+    def test_dims_outside_the_bounds_domain_rejected_at_once(self, dims, monkeypatch):
+        monkeypatch.setattr(ex, "sample_rngs", None)  # rejected before any draw
+        with pytest.raises(OutOfRange, match=r"dims \("):
+            ex.run_continuity_check(*dims, samples=2, eps_list=[1e-3], seed=1)
 
     def test_zero_eps_rows(self):
         rec = ex.run_continuity_check(2, 2, samples=5, eps_list=[0.0], seed=11)
@@ -316,6 +335,28 @@ class TestSeedHandling:
     def test_negative_seed_rejected(self):
         with pytest.raises(OutOfRange):
             ex.run_xstate_comparison(samples=5, seed=-1)
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**100 + 12345])
+    @pytest.mark.parametrize(
+        "keys",
+        [[0, 1, 4095, 2**32 - 1], [(4, 0), (0, 1), (3, 4095), (2**32 - 1, 2**32 - 1)], [()]],
+        ids=["one-key", "two-key", "no-key"],
+    )
+    def test_sample_rngs_equal_default_rng(self, seed, keys):
+        rngs = ex.sample_rngs(seed, keys)
+        assert len(rngs) == len(keys)
+        for key, rng in zip(keys, rngs):
+            key = np.atleast_1d(key).tolist()
+            ref = np.random.default_rng([seed, *key])
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(rng.normal(size=16), ref.normal(size=16))
+            ref = np.random.default_rng([seed, *key])
+            assert ex.sample_rng(seed, *key).bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("keys", [[3, -1], [2**32], [(0, 2**32)], [2**64], [(-(2**70), 1)]])
+    def test_sample_keys_outside_32_bits_rejected(self, keys):
+        with pytest.raises(OutOfRange):
+            ex.sample_rngs(5, keys)
 
     def test_per_sample_streams_are_independent(self):
         # extending the run leaves earlier rows untouched

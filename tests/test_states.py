@@ -206,6 +206,28 @@ class TestXStateSampler:
                 )
             assert rng.random() == ref.random()
 
+    @pytest.mark.parametrize("stack", [1024, 7])
+    def test_stacked_blocks_give_each_generators_own_stream(self, stack, monkeypatch):
+        # row i, its attempt count and generator i's final state equal those
+        # of the written-out scalar loop on generator i alone; 6 of these 100
+        # samples accept no candidate of their first block
+        monkeypatch.setattr(st, "_X_PARAMS_STACK", stack)
+        rngs = [np.random.default_rng([40, i]) for i in range(100)]
+        refs = [np.random.default_rng([40, i]) for i in range(100)]
+        params, attempts = st.sample_x_params(rngs, return_attempts=True)
+        assert params.shape == (100, 4)
+        assert np.sum(attempts > st._X_PARAMS_BLOCK) >= 1
+        for row, n, rng, ref in zip(params, attempts, rngs, refs):
+            want, want_n = reference_sample_x_params(ref)
+            assert tuple(row) == want.as_row()
+            assert n == want_n
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_stacked_exhausted_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(st, "_x_candidate_ok", lambda r: np.zeros(len(r), dtype=bool))
+        with pytest.raises(OutOfDomain, match="valid X-state"):
+            st.sample_x_params([np.random.default_rng(i) for i in range(3)])
+
     def test_r6_r9_means_vanish_by_symmetry(self):
         # the acceptance region is invariant under r6 -> -r6 and r9 -> -r9
         rng = np.random.default_rng(7)
