@@ -31,12 +31,11 @@ from .states import (
     _parse_matrix_rows,
     _read_text,
     _write_text,
-    conjugate_a,
-    ptrace_a,
     ptrace_b,
     sample_nondegenerate,
+    superop_a,
 )
-from .discord import dephase_a
+from .discord import dephase_a, dephasing_superop
 
 UNITARITY_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
@@ -55,39 +54,51 @@ def _check_unitary(u: np.ndarray, what: str) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise InvalidChannel(f"{what} is not square")
+    if not np.isfinite(u).all():
+        raise InvalidChannel(f"{what} has non-finite entries")
     dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
     if dev > UNITARITY_TOL:
         raise InvalidChannel(f"{what} not unitary: deviation {dev:.3e}")
     return u
 
 
+def _kraus_superop(ops, weights) -> np.ndarray:
+    """sum_k w_k K_k (x) conj(K_k), the superoperator of rho -> sum_k w_k K_k rho K_k^dag."""
+    return np.einsum("k,kac,kbd->abcd", weights, ops, np.conj(ops)).reshape(len(ops[0]) ** 2, -1)
+
+
+def _transpose_superop(basis: np.ndarray) -> np.ndarray:
+    """The transpose in basis B: T[(a, a'), (c, c')] = M[a, c'] conj(M)[a', c], M = B B^T."""
+    m = basis @ basis.T
+    return np.einsum("ad,bc->abcd", m, m.conj()).reshape(len(m) ** 2, -1)
+
+
 def partial_transpose_a(rho: np.ndarray, d_a: int, d_b: int, basis: np.ndarray) -> np.ndarray:
     """Transpose A in the basis B: (B B^T (x) I) rho^{T_A} (B B^T (x) I)^dag."""
-    flipped = rho.reshape(rho.shape[:-2] + (d_a, d_b, d_a, d_b)).swapaxes(-4, -2)
-    return conjugate_a(basis @ basis.T, flipped.reshape(rho.shape), d_a, d_b)
-
-
-def _kraus_lift(ops, rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    """sum_k (K_k (x) I) rho (K_k (x) I)^dag."""
-    return sum(conjugate_a(k, rho, d_a, d_b) for k in ops)
+    return superop_a(_transpose_superop(basis), rho, d_a, d_b)
 
 
 class QuantumChannel:
     """Common surface for the channel classes below.
 
-    Each class defines its channel once, by ``lift_a``; ``apply`` is that
-    lift with a trivial B. ``lift_a`` and ``apply_local_a`` also take a
-    stack of matrices or states (..., d, d) and act on every row.
+    Each class builds its channel once, at construction, as the d^2 x d^2
+    superoperator ``superop`` on A's index pair (a, a') (see
+    ``states.superop_a``); ``lift_a`` applies it to A of an AB matrix, and
+    ``apply`` is that lift with a trivial B. Both, and ``apply_local_a``,
+    also take a stack (..., d, d) and act on every row.
     """
 
-    dim: int
+    superop: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return math.isqrt(self.superop.shape[0])
 
     def lift_a(self, rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
         """(channel (x) identity)(rho) for a (d_a*d_b) x (d_a*d_b) matrix or a stack of them."""
-        raise NotImplementedError
+        return superop_a(self.superop, rho, d_a, d_b)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        _check_dim(rho, self.dim)
         return self.lift_a(rho, self.dim, 1)
 
     def apply_local_a(self, state: BipartiteState) -> BipartiteState:
@@ -110,24 +121,20 @@ class KrausChannel(QuantumChannel):
         if not ops:
             raise InvalidChannel("need at least one Kraus operator")
         d = ops[0].shape[0]
-        for k in ops:
+        for i, k in enumerate(ops):
             if k.shape != (d, d):
                 raise DimensionMismatch("Kraus operators have mixed shapes")
+            if not np.isfinite(k).all():
+                raise InvalidChannel(f"Kraus operator K_{i} has non-finite entries")
         total = sum(k.conj().T @ k for k in ops)
         dev = np.max(np.abs(total - np.eye(d)))
         if dev > COMPLETENESS_TOL:
             raise InvalidChannel(f"sum K^dag K - I deviates by {dev:.3e}")
         object.__setattr__(self, "ops", ops)
-
-    @property
-    def dim(self) -> int:
-        return self.ops[0].shape[0]
+        object.__setattr__(self, "superop", _kraus_superop(ops, np.ones(len(ops))))
 
     def kraus_ops(self) -> tuple[np.ndarray, ...]:
         return self.ops
-
-    def lift_a(self, rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-        return _kraus_lift(self.ops, rho, d_a, d_b)
 
     def tag(self) -> str:
         return "kraus"
@@ -151,18 +158,12 @@ class MixedUnitaryChannel(QuantumChannel):
                 raise DimensionMismatch("unitaries have mixed shapes")
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "unitaries", unitaries)
-
-    @property
-    def dim(self) -> int:
-        return self.unitaries[0].shape[0]
+        object.__setattr__(self, "superop", _kraus_superop(unitaries, probs))
 
     def kraus_ops(self) -> tuple[np.ndarray, ...]:
         return tuple(
             math.sqrt(p) * u for p, u in zip(self.probs, self.unitaries) if p > 0
         )
-
-    def lift_a(self, rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-        return _kraus_lift(self.kraus_ops(), rho, d_a, d_b)
 
     def tag(self) -> str:
         return "mixed-unitary"
@@ -175,7 +176,8 @@ class IsotropicChannel(QuantumChannel):
     The antiunitary core acts as rho -> U rho^T U^dag with the transpose
     taken in ``transpose_basis``. That map is positive, but completely
     positive only for gamma >= d/(d+1), so below that its lift to AB may
-    leave the state cone.
+    leave the state cone. The superoperator is (1 - gamma) (W (x) conj(W)) T
+    + gamma vec(I) vec(I)^T / d, T the transpose (antiunitary W) or identity.
     """
 
     gamma: float
@@ -188,6 +190,7 @@ class IsotropicChannel(QuantumChannel):
             raise OutOfRange(f"gamma = {self.gamma} outside [0, 1]")
         u = _check_unitary(self.w_unitary, "W")
         object.__setattr__(self, "w_unitary", u)
+        core = np.kron(u, u.conj())
         if self.antiunitary:
             basis = (
                 np.eye(u.shape[0], dtype=complex)
@@ -197,26 +200,11 @@ class IsotropicChannel(QuantumChannel):
             if basis.shape != u.shape:
                 raise DimensionMismatch("transpose basis dimension mismatch")
             object.__setattr__(self, "transpose_basis", basis)
+            core = core @ _transpose_superop(basis)
         else:
             object.__setattr__(self, "transpose_basis", None)
-
-    @property
-    def dim(self) -> int:
-        return self.w_unitary.shape[0]
-
-    def lift_a(self, rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-        """(1 - gamma) (W (x) I) core (W (x) I)^dag + gamma I/d_a (x) rho_B.
-
-        The core is rho, or its partial transpose on A for an antiunitary W.
-        """
-        core = (
-            partial_transpose_a(rho, d_a, d_b, self.transpose_basis)
-            if self.antiunitary
-            else rho
-        )
-        out = (1.0 - self.gamma) * conjugate_a(self.w_unitary, core, d_a, d_b)
-        mixed = np.einsum("ac,...bd->...abcd", np.eye(d_a) / d_a, ptrace_a(rho, d_a, d_b))
-        return out + self.gamma * mixed.reshape(out.shape)
+        depolarize = np.outer(np.eye(len(u)), np.eye(len(u))) / len(u)
+        object.__setattr__(self, "superop", (1.0 - self.gamma) * core + self.gamma * depolarize)
 
     def apply_local_a(self, state: BipartiteState) -> BipartiteState:
         try:
@@ -235,7 +223,7 @@ class IsotropicChannel(QuantumChannel):
 
 @dataclass(frozen=True)
 class SemiclassicalChannel(QuantumChannel):
-    """Arbitrary inner channel followed by complete dephasing in a fixed basis."""
+    """Arbitrary inner channel followed by complete dephasing in a fixed basis: D(basis) S_inner."""
 
     basis: np.ndarray
     inner: QuantumChannel
@@ -245,29 +233,16 @@ class SemiclassicalChannel(QuantumChannel):
         if basis.shape[0] != self.inner.dim:
             raise DimensionMismatch("preferred basis dimension != inner channel")
         object.__setattr__(self, "basis", basis)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    def lift_a(self, rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-        return dephase_a(self.inner.lift_a(rho, d_a, d_b), d_a, d_b, self.basis)
+        object.__setattr__(self, "superop", dephasing_superop(basis) @ self.inner.superop)
 
     def tag(self) -> str:
         return "semiclassical"
-
-
-def _check_dim(rho: np.ndarray, d: int) -> None:
-    if rho.shape != (d, d):
-        raise DimensionMismatch(f"state shape {rho.shape} != ({d}, {d})")
 
 
 def apply_local_a_raw(
     channel: QuantumChannel, rho: np.ndarray, d_a: int, d_b: int
 ) -> np.ndarray:
     """(channel (x) identity)(rho) on a raw matrix, without state validation."""
-    if channel.dim != d_a:
-        raise DimensionMismatch(f"channel dimension {channel.dim} != {d_a}")
     return channel.lift_a(rho, d_a, d_b)
 
 

@@ -37,9 +37,9 @@ from .states import (
     BipartiteState,
     MultipartiteState,
     blocks_a,
-    from_blocks_a,
     ptrace_a,
     ptrace_b,
+    superop_a,
 )
 
 class DistanceMeasure:
@@ -81,9 +81,22 @@ def entropy_gain(state, dephased):
     return np.maximum(dephased.entropy - state.entropy, 0.0)
 
 
+def dephasing_superop(basis: np.ndarray) -> np.ndarray:
+    """D = sum_k P_k (x) conj(P_k), P_k = v_k v_k^dag, for the basis columns v_k.
+
+    It is C C^dag for C[(a, a'), k] = v_k[a] conj(v_k[a']), one D per basis of a stack.
+    """
+    cols = basis[..., :, None, :] * basis.conj()[..., None, :, :]
+    cols = cols.reshape(cols.shape[:-3] + (-1, cols.shape[-1]))
+    return cols @ cols.conj().swapaxes(-1, -2)
+
+
 def dephase_a(rho: np.ndarray, d_a: int, d_b: int, basis: np.ndarray) -> np.ndarray:
-    """sum_i (|v_i><v_i| (x) I) rho (|v_i><v_i| (x) I) for basis columns v_i."""
-    return from_blocks_a(basis, blocks_a(rho, d_a, d_b, basis))
+    """sum_i (|v_i><v_i| (x) I) rho (|v_i><v_i| (x) I) for basis columns v_i.
+
+    A stack of bases gives one per row of rho, or many for one matrix.
+    """
+    return superop_a(dephasing_superop(basis), rho, d_a, d_b)
 
 
 def _angle_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:

@@ -193,9 +193,9 @@ class XStateParams:
 
 
 # The A-side kernels below act on one (d_a*d_b) x (d_a*d_b) matrix or on a
-# stack (..., d_a*d_b, d_a*d_b); a basis or operator on A may be one matrix
-# for every row or a stack of its own. Row i of a stack equals the kernel
-# applied to that row alone.
+# stack (..., d_a*d_b, d_a*d_b); a basis or superoperator on A may be one
+# matrix for every row or a stack of its own. Row i of a stack equals the
+# kernel applied to that row alone.
 
 def _split(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     """A raw matrix (stack) viewed with axes (..., a, b, a', b')."""
@@ -214,6 +214,25 @@ def ptrace_a(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     return np.einsum("...aiaj->...ij", _split(rho, d_a, d_b))
 
 
+def superop_a(superop: np.ndarray, rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """(S (x) id_B)(rho) for a d_a^2 x d_a^2 superoperator S[(a, a'), (c, c')] on A.
+
+    K rho K^dag has S = K (x) conj(K). rho is regrouped as (..., d_a^2, d_b^2),
+    rows (a, a') and columns (b, b'), for one broadcast matmul by S (or a stack
+    of S): one gemm per row, never one wide GEMM, whose BLAS path could differ.
+    """
+    d = d_a * d_b
+    if superop.shape[-2:] != (d_a * d_a, d_a * d_a) or rho.shape[-2:] != (d, d):
+        raise DimensionMismatch(
+            f"superoperator {superop.shape[-2:]} and matrix {rho.shape[-2:]} do not "
+            f"fit (d_A, d_B) = ({d_a}, {d_b})"
+        )
+    pairs = rho.reshape(rho.shape[:-2] + (d_a, d_b, d_a, d_b)).swapaxes(-3, -2)
+    out = superop @ pairs.reshape(rho.shape[:-2] + (d_a * d_a, d_b * d_b))
+    out = out.reshape(out.shape[:-2] + (d_a, d_a, d_b, d_b)).swapaxes(-3, -2)
+    return out.reshape(out.shape[:-4] + (d, d))
+
+
 def blocks_a(rho: np.ndarray, d_a: int, d_b: int, basis: np.ndarray) -> np.ndarray:
     """Conditional blocks <v_i| rho |v_i> for the basis columns v_i, shape (..., k, d_b, d_b)."""
     return np.einsum(
@@ -229,14 +248,6 @@ def from_blocks_a(basis: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     out = np.einsum("...ai,...ibd,...ci->...abcd", basis, blocks, basis.conj())
     d = basis.shape[-2] * blocks.shape[-1]
     return out.reshape(out.shape[:-4] + (d, d))
-
-
-def conjugate_a(op: np.ndarray, rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    """(op (x) I) rho (op (x) I)^dag for an operator on A, by two reshaped matmuls."""
-    d = d_a * d_b
-    batch = rho.shape[:-2]
-    left = (op @ rho.reshape(batch + (d_a, d_b * d))).reshape(batch + (d, d_a, d_b))
-    return (op.conj()[..., None, :, :] @ left).reshape(batch + (d, d))
 
 
 def partial_trace_b(state: BipartiteState) -> np.ndarray:
@@ -471,7 +482,8 @@ def _check_distribution(probs) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or len(probs) == 0:
         raise InvalidDistribution("probs must be a non-empty vector")
-    if np.any(probs < -1e-12) or abs(probs.sum() - 1.0) > 1e-10:
+    # written so that a NaN entry fails it
+    if not (np.all(probs >= -1e-12) and abs(probs.sum() - 1.0) <= 1e-10):
         raise InvalidDistribution(f"probs {probs} is not a distribution")
     return probs
 

@@ -38,6 +38,50 @@ def haar(rng, d):
     return q * ph
 
 
+# The A-side maps as the package wrote them before its superoperator kernel:
+# one pair of reshaped matmuls per Kraus operator. The superoperator lifts
+# must match them to round-off.
+
+def conjugate_a(op, rho, d_a, d_b):
+    """(op (x) I) rho (op (x) I)^dag for an operator on A, by two reshaped matmuls."""
+    d = d_a * d_b
+    batch = rho.shape[:-2]
+    left = (op @ rho.reshape(batch + (d_a, d_b * d))).reshape(batch + (d, d_a, d_b))
+    return (op.conj()[..., None, :, :] @ left).reshape(batch + (d, d))
+
+
+def kraus_lift(ops, rho, d_a, d_b):
+    """sum_k (K_k (x) I) rho (K_k (x) I)^dag."""
+    return sum(conjugate_a(k, rho, d_a, d_b) for k in ops)
+
+
+def reference_dephase_a(rho, d_a, d_b, basis):
+    """sum_k (P_k (x) I) rho (P_k (x) I) for P_k = v_k v_k^dag on one basis's columns."""
+    return kraus_lift([np.outer(v, v.conj()) for v in basis.T], rho, d_a, d_b)
+
+
+def reference_lift_a(channel, rho, d_a, d_b):
+    """channel.lift_a by Kraus sums, the isotropic closed form and the projector sum."""
+    from diagdiscord import channels as ch
+
+    if isinstance(channel, ch.SemiclassicalChannel):
+        inner = reference_lift_a(channel.inner, rho, d_a, d_b)
+        return reference_dephase_a(inner, d_a, d_b, channel.basis)
+    if not isinstance(channel, ch.IsotropicChannel):
+        return kraus_lift(channel.kraus_ops(), rho, d_a, d_b)
+    # (1 - gamma) (W (x) I) core (W (x) I)^dag + gamma I/d_a (x) rho_B, the core
+    # being rho or (B B^T (x) I) rho^{T_A} (B B^T (x) I)^dag
+    split = rho.reshape(rho.shape[:-2] + (d_a, d_b, d_a, d_b))
+    core = rho
+    if channel.antiunitary:
+        v = channel.transpose_basis
+        core = conjugate_a(v @ v.T, split.swapaxes(-4, -2).reshape(rho.shape), d_a, d_b)
+    out = (1.0 - channel.gamma) * conjugate_a(channel.w_unitary, core, d_a, d_b)
+    rho_b = np.einsum("...aiaj->...ij", split)
+    mixed = np.einsum("ac,...bd->...abcd", np.eye(d_a) / d_a, rho_b)
+    return out + channel.gamma * mixed.reshape(out.shape)
+
+
 def degenerate_marginal_state(rng, d_a, d_b, rank=None):
     """Random state, locally filtered on A so rho_A has degenerate pairs.
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diagdiscord import channels as ch
+from diagdiscord import discord as dd
 from diagdiscord import linalg as la
 from diagdiscord import states as st
 from diagdiscord.errors import (
@@ -20,7 +21,9 @@ from helpers import (
     random_density,
     random_state,
     reference_commutes_with_pi,
+    reference_dephase_a,
     reference_is_discord_nongenerating,
+    reference_lift_a,
     scan_cases,
     scan_channel,
 )
@@ -54,6 +57,31 @@ class TestConstructors:
             ch.SemiclassicalChannel(
                 np.array([[1.0, 1.0], [0.0, 0.0]]), ch.amplitude_damping(0.1)
             )
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda nan: ch.KrausChannel((np.eye(2) * nan,)), InvalidChannel, "K_0 has"),
+            (lambda nan: ch.MixedUnitaryChannel([1.0], (np.eye(2) * nan,)), InvalidChannel, "U_0 has"),
+            (lambda nan: ch.MixedUnitaryChannel([nan], (np.eye(2),)), InvalidDistribution, r"probs \[nan\] is not"),
+            (lambda nan: ch.IsotropicChannel(0.5, np.eye(2) * nan), InvalidChannel, "W has"),
+            (
+                lambda nan: ch.IsotropicChannel(0.5, np.eye(2), True, np.eye(2) * nan),
+                InvalidChannel,
+                "transpose basis has",
+            ),
+            (
+                lambda nan: ch.SemiclassicalChannel(np.eye(2) * nan, ch.amplitude_damping(0.1)),
+                InvalidChannel,
+                "preferred basis has",
+            ),
+        ],
+        ids=["kraus", "mu-unitary", "mu-probability", "iso-w", "iso-transpose-basis", "sc-basis"],
+    )
+    def test_non_finite_entries_rejected(self, build, error, message):
+        # NaN passes a "deviation > tolerance" test, so it is checked apart
+        with pytest.raises(error, match=message):
+            build(math.nan)
 
     def test_kraus_completeness_after_every_constructor(self):
         rng = np.random.default_rng(0)
@@ -233,6 +261,85 @@ class TestReferenceLifts:
         expected = rot @ flipped @ rot.conj().T
         out = ch.partial_transpose_a(rho, d_a, d_b, v)
         assert np.max(np.abs(out - expected)) <= 1e-13
+
+
+#: one channel of every class, on a d-dimensional A; the antiunitary
+#: isotropic channel once below its complete-positivity threshold d/(d+1)
+SUPEROP_CHANNELS = {
+    "kraus": lambda rng, d: ch.random_kraus_channel(rng, d, 3),
+    "mu": lambda rng, d: ch.random_mixed_unitary(rng, d),
+    "iso-u": lambda rng, d: ch.random_isotropic(rng, d),
+    "iso-a-not-cp": lambda rng, d: ch.random_isotropic(rng, d, True, 0.5 * d / (d + 1)),
+    "iso-a-cp": lambda rng, d: ch.random_isotropic(rng, d, True, (2 * d + 1) / (2 * d + 2)),
+    "sc-kraus": lambda rng, d: ch.random_semiclassical(rng, d),
+    "sc-mu": lambda rng, d: ch.SemiclassicalChannel(haar(rng, d), ch.random_mixed_unitary(rng, d)),
+    "sc-iso-a": lambda rng, d: ch.SemiclassicalChannel(
+        haar(rng, d), ch.random_isotropic(rng, d, antiunitary=True)
+    ),
+}
+
+
+class TestSuperoperators:
+    """Superoperator lifts and dephasing against the Kraus-sum references in helpers."""
+
+    @pytest.mark.parametrize("kind", list(SUPEROP_CHANNELS))
+    @pytest.mark.parametrize("d_a", [2, 3, 4])
+    @pytest.mark.parametrize("d_b", [1, 2, 3])
+    def test_lift_equals_the_reference(self, kind, d_a, d_b):
+        rng = np.random.default_rng([d_a, d_b, list(SUPEROP_CHANNELS).index(kind)])
+        channel = SUPEROP_CHANNELS[kind](rng, d_a)
+        rhos = np.stack([random_density(rng, d_a * d_b) for _ in range(5)])
+        for rho in (rhos[0], rhos):
+            want = reference_lift_a(channel, rho, d_a, d_b)
+            assert np.max(np.abs(channel.lift_a(rho, d_a, d_b) - want)) <= 1e-14
+
+    @pytest.mark.parametrize("d_a", [2, 3, 4])
+    @pytest.mark.parametrize("d_b", [1, 2, 3])
+    def test_dephase_a_equals_the_projector_sum(self, d_a, d_b):
+        rng = np.random.default_rng([d_a, d_b, 99])
+        rhos = np.stack([random_density(rng, d_a * d_b) for _ in range(5)])
+        bases = np.stack([haar(rng, d_a) for _ in range(5)])
+        shared = dd.dephase_a(rhos, d_a, d_b, bases[0])
+        per_row = dd.dephase_a(rhos, d_a, d_b, bases)
+        # many bases for one matrix, as in the degenerate-eigenbasis search
+        grid = dd.dephase_a(rhos[0], d_a, d_b, bases)
+        for i in range(5):
+            for got, rho, basis in (
+                (shared[i], rhos[i], bases[0]),
+                (per_row[i], rhos[i], bases[i]),
+                (grid[i], rhos[0], bases[i]),
+            ):
+                assert np.max(np.abs(got - reference_dephase_a(rho, d_a, d_b, basis))) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    @pytest.mark.parametrize("d_a, d_b", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 3)])
+    def test_rows_equal_single_calls_bit_for_bit(self, n, d_a, d_b):
+        rng = np.random.default_rng([n, d_a, d_b])
+        rhos = np.stack([random_density(rng, d_a * d_b) for _ in range(n)])
+        bases = np.stack([haar(rng, d_a) for _ in range(n)])
+        for make in SUPEROP_CHANNELS.values():
+            channel = make(rng, d_a)
+            lifted = channel.lift_a(rhos, d_a, d_b)
+            for i in range(n):
+                assert np.array_equal(lifted[i], channel.lift_a(rhos[i], d_a, d_b))
+        shared = dd.dephase_a(rhos, d_a, d_b, bases[0])
+        per_row = dd.dephase_a(rhos, d_a, d_b, bases)
+        for i in range(n):
+            assert np.array_equal(shared[i], dd.dephase_a(rhos[i], d_a, d_b, bases[0]))
+            assert np.array_equal(per_row[i], dd.dephase_a(rhos[i], d_a, d_b, bases[i]))
+
+    def test_bad_shape_raises_dimension_mismatch(self):
+        qubit = ch.probabilistic_hadamard()
+        for call in (
+            lambda: qubit.lift_a(np.eye(6) / 6, 3, 2),  # d_A is not the channel's
+            lambda: qubit.lift_a(np.eye(6) / 6, 2, 2),
+            lambda: qubit.lift_a(np.ones((3, 4, 5)), 2, 2),
+            lambda: qubit.apply(np.eye(3) / 3),
+            lambda: dd.dephase_a(np.eye(4) / 4, 2, 2, np.eye(3)),
+            lambda: dd.dephase_a(np.eye(6) / 6, 2, 2, np.eye(2)),
+        ):
+            with pytest.raises(DimensionMismatch, match="do not fit"):
+                call()
 
 
 class TestCommutingCondition:

@@ -356,6 +356,34 @@ def test_bad_argument_exits_3(argv, env, tmp_path, capsys, monkeypatch):
     assert captured.err.startswith("parse error:")
 
 
+@pytest.mark.parametrize(
+    "channel, line, argv, message",
+    [
+        pytest.param(
+            ch.amplitude_damping(0.5), 1, ["classify"], "Kraus operator K_0 has non-finite entries",
+            id="kraus-entry",
+        ),
+        pytest.param(
+            ch.probabilistic_hadamard(), 2, ["experiment", "monotonicity", "--channel"],
+            "U_0 has non-finite entries", id="unitary-entry",
+        ),
+        pytest.param(
+            ch.probabilistic_hadamard(), 1, ["experiment", "monotonicity", "--channel"],
+            "nan 0.66666667] is not a distribution", id="probability",
+        ),
+    ],
+)
+def test_non_finite_channel_entry_exits_4_naming_it(channel, line, argv, message, tmp_path, capsys):
+    lines = ch.channel_to_text(channel).splitlines()
+    lines[line] = " ".join(["nan", *lines[line].split()[1:]])
+    path = tmp_path / "nan_channel.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(argv + [str(path), "--output-dir", str(tmp_path / "out")]) == cli.EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub

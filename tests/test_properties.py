@@ -17,7 +17,7 @@ from diagdiscord import linalg as la
 from diagdiscord import states as st
 from diagdiscord.errors import DegenerateMarginal, DimensionMismatch, NotDensityMatrix
 from diagdiscord.linalg import hermitian_eig, von_neumann_entropy
-from helpers import haar, random_density
+from helpers import conjugate_a, haar, random_density
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 SEEDS = hs.integers(0, 2**32 - 1)
@@ -177,7 +177,7 @@ def test_stacked_kernels_equal_their_single_matrix_calls(seed, shape):
     blocks = st.blocks_a(rhos, d_a, d_b, bases)
     shared = st.blocks_a(rhos, d_a, d_b, bases[0])
     rebuilt = st.from_blocks_a(bases, blocks)
-    conjugated = st.conjugate_a(op, rhos, d_a, d_b)
+    conjugated = conjugate_a(op, rhos, d_a, d_b)
     channels = (
         ch.random_mixed_unitary(rng, d_a),
         ch.random_kraus_channel(rng, d_a),
@@ -208,7 +208,7 @@ def test_stacked_kernels_equal_their_single_matrix_calls(seed, shape):
         assert _close(blocks[i], st.blocks_a(rho, d_a, d_b, bases[i]))
         assert _close(shared[i], st.blocks_a(rho, d_a, d_b, bases[0]))
         assert _close(rebuilt[i], st.from_blocks_a(bases[i], blocks[i]))
-        assert _close(conjugated[i], st.conjugate_a(op, rho, d_a, d_b))
+        assert _close(conjugated[i], conjugate_a(op, rho, d_a, d_b))
         for channel, lift in zip(channels, lifts):
             assert _close(lift[i], channel.lift_a(rho, d_a, d_b))
 
