@@ -88,6 +88,8 @@ class QuantumChannel:
     also take a stack (..., d, d) and act on every row.
     """
 
+    #: the class's header word in the channel text format
+    TAG: str
     superop: np.ndarray
 
     @property
@@ -109,11 +111,12 @@ class QuantumChannel:
         )
 
     def tag(self) -> str:
-        raise NotImplementedError
+        return self.TAG
 
 
 @dataclass(frozen=True)
 class KrausChannel(QuantumChannel):
+    TAG = "kraus"
     ops: tuple[np.ndarray, ...]
 
     def __post_init__(self):
@@ -136,12 +139,10 @@ class KrausChannel(QuantumChannel):
     def kraus_ops(self) -> tuple[np.ndarray, ...]:
         return self.ops
 
-    def tag(self) -> str:
-        return "kraus"
-
 
 @dataclass(frozen=True)
 class MixedUnitaryChannel(QuantumChannel):
+    TAG = "mixed-unitary"
     probs: np.ndarray
     unitaries: tuple[np.ndarray, ...]
 
@@ -165,9 +166,6 @@ class MixedUnitaryChannel(QuantumChannel):
             math.sqrt(p) * u for p, u in zip(self.probs, self.unitaries) if p > 0
         )
 
-    def tag(self) -> str:
-        return "mixed-unitary"
-
 
 @dataclass(frozen=True)
 class IsotropicChannel(QuantumChannel):
@@ -180,6 +178,7 @@ class IsotropicChannel(QuantumChannel):
     + gamma vec(I) vec(I)^T / d, T the transpose (antiunitary W) or identity.
     """
 
+    TAG = "isotropic"
     gamma: float
     w_unitary: np.ndarray
     antiunitary: bool = False
@@ -217,14 +216,12 @@ class IsotropicChannel(QuantumChannel):
                 "completely positive at this gamma"
             ) from exc
 
-    def tag(self) -> str:
-        return "isotropic"
-
 
 @dataclass(frozen=True)
 class SemiclassicalChannel(QuantumChannel):
     """Arbitrary inner channel followed by complete dephasing in a fixed basis: D(basis) S_inner."""
 
+    TAG = "semiclassical"
     basis: np.ndarray
     inner: QuantumChannel
 
@@ -234,9 +231,6 @@ class SemiclassicalChannel(QuantumChannel):
             raise DimensionMismatch("preferred basis dimension != inner channel")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "superop", dephasing_superop(basis) @ self.inner.superop)
-
-    def tag(self) -> str:
-        return "semiclassical"
 
 
 def apply_local_a_raw(
@@ -248,15 +242,14 @@ def apply_local_a_raw(
 
 # --- commutation predicates ---------------------------------------------------
 
-def qubit_mu_commuting_condition(
-    channel: MixedUnitaryChannel, basis: np.ndarray
-) -> float:
+def qubit_mu_commuting_condition(channel: QuantumChannel, basis: np.ndarray) -> float:
     """Largest violation of the qubit commuting condition for one basis.
 
     Diagonalizes E(|psi><psi|) to get the common output eigenbasis
-    {|eta_+>, |eta_->} and returns
-    max_l |sum_mu p_mu <eta_l|U_mu|psi><psi_bar|U_mu^dag|eta_l>|,
-    which is zero (to round-off) exactly when the channel commutes with
+    {|eta_+>, |eta_->} and returns max_l |<eta_l|E(|psi><psi_bar|)|eta_l>|,
+    E applied through its superoperator (for a mixed-unitary channel
+    E(|psi><psi_bar|) = sum_mu p_mu U_mu|psi><psi_bar|U_mu^dag, Lemma 1).
+    It is zero (to round-off) exactly when the channel commutes with
     dephasing in this input basis.
     """
     if channel.dim != 2:
@@ -266,30 +259,20 @@ def qubit_mu_commuting_condition(
         raise DimensionMismatch("basis must be a 2x2 column matrix")
     psi, psi_bar = basis[:, 0], basis[:, 1]
     out = channel.apply(np.outer(psi, psi.conj()))
+    a = channel.apply(np.outer(psi, psi_bar.conj()))
     dec = hermitian_eig(out)
     if dec.degenerate:
         # maximally mixed output: every basis is a common eigenbasis, so the
         # violation over all admissible choices is the operator norm of
-        # A = sum_mu p_mu U_mu |psi><psi_bar| U_mu^dag (max_eta |<eta|A|eta>|
-        # vanishes iff A = 0)
+        # a = E(|psi><psi_bar|) (max_eta |<eta|a|eta>| vanishes iff a = 0)
         if np.max(np.abs(out - np.eye(2) / 2.0)) <= 1e-10:
-            a = sum(
-                p * (u @ np.outer(psi, psi_bar.conj()) @ u.conj().T)
-                for p, u in zip(channel.probs, channel.unitaries)
-            )
             return float(np.linalg.norm(a, 2))
         raise DegenerateOutput(
             f"E(|psi><psi|) is degenerate (gap {dec.min_gap:.3e}); "
             "common eigenbasis is ill-defined"
         )
-    worst = 0.0
-    for l in range(2):
-        eta = dec.eigenvectors[:, l]
-        total = 0.0j
-        for p, u in zip(channel.probs, channel.unitaries):
-            total += p * (eta.conj() @ u @ psi) * (psi_bar.conj() @ u.conj().T @ eta)
-        worst = max(worst, abs(total))
-    return worst
+    eta = dec.eigenvectors
+    return float(np.max(np.abs(np.einsum("il,ij,jl->l", eta.conj(), a, eta))))
 
 
 @dataclass(frozen=True)
@@ -524,25 +507,25 @@ def channel_to_text(channel: QuantumChannel) -> str:
 def _channel_lines(channel: QuantumChannel) -> list[str]:
     d = channel.dim
     if isinstance(channel, KrausChannel):
-        lines = [f"kraus {d} {len(channel.ops)}"]
+        lines = [f"{KrausChannel.TAG} {d} {len(channel.ops)}"]
         for k in channel.ops:
             lines.extend(_format_matrix_rows(k))
         return lines
     if isinstance(channel, MixedUnitaryChannel):
-        lines = [f"mixed-unitary {d} {len(channel.unitaries)}"]
+        lines = [f"{MixedUnitaryChannel.TAG} {d} {len(channel.unitaries)}"]
         lines.append(" ".join(f"{p:.17g}" for p in channel.probs))
         for u in channel.unitaries:
             lines.extend(_format_matrix_rows(u))
         return lines
     if isinstance(channel, IsotropicChannel):
         kind = "antiunitary" if channel.antiunitary else "unitary"
-        lines = [f"isotropic {d} {channel.gamma:.17g} {kind}"]
+        lines = [f"{IsotropicChannel.TAG} {d} {channel.gamma:.17g} {kind}"]
         lines.extend(_format_matrix_rows(channel.w_unitary))
         if channel.antiunitary:
             lines.extend(_format_matrix_rows(channel.transpose_basis))
         return lines
     if isinstance(channel, SemiclassicalChannel):
-        lines = [f"semiclassical {d}"]
+        lines = [f"{SemiclassicalChannel.TAG} {d}"]
         lines.extend(_format_matrix_rows(channel.basis))
         lines.extend(_channel_lines(channel.inner))
         return lines
@@ -563,7 +546,7 @@ def _parse_channel(lines: list[str], pos: int) -> tuple[QuantumChannel, int]:
     head = lines[pos].split()
     tag = head[0]
     try:
-        if tag == "kraus":
+        if tag == KrausChannel.TAG:
             d, n = int(head[1]), int(head[2])
             pos += 1
             ops = []
@@ -571,7 +554,7 @@ def _parse_channel(lines: list[str], pos: int) -> tuple[QuantumChannel, int]:
                 ops.append(_parse_matrix_rows(lines[pos:], d, "kraus op"))
                 pos += d
             return KrausChannel(tuple(ops)), pos
-        if tag == "mixed-unitary":
+        if tag == MixedUnitaryChannel.TAG:
             d, n = int(head[1]), int(head[2])
             probs = np.array([float(x) for x in lines[pos + 1].split()])
             pos += 2
@@ -580,7 +563,7 @@ def _parse_channel(lines: list[str], pos: int) -> tuple[QuantumChannel, int]:
                 unitaries.append(_parse_matrix_rows(lines[pos:], d, "unitary"))
                 pos += d
             return MixedUnitaryChannel(probs, tuple(unitaries)), pos
-        if tag == "isotropic":
+        if tag == IsotropicChannel.TAG:
             d, gamma, kind = int(head[1]), float(head[2]), head[3]
             if kind not in ("unitary", "antiunitary"):
                 raise ParseError(f"unknown isotropic kind {kind!r}")
@@ -595,7 +578,7 @@ def _parse_channel(lines: list[str], pos: int) -> tuple[QuantumChannel, int]:
                 IsotropicChannel(gamma, u, kind == "antiunitary", basis),
                 pos,
             )
-        if tag == "semiclassical":
+        if tag == SemiclassicalChannel.TAG:
             d = int(head[1])
             pos += 1
             basis = _parse_matrix_rows(lines[pos:], d, "preferred basis")

@@ -272,8 +272,7 @@ def _cmd_sample(args) -> int:
     seed = _resolve_seed(args)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i in range(args.count):
-        rng = ex.sample_rng(seed, i)
+    for i, rng in enumerate(ex.sample_rngs(seed, range(args.count))):
         if args.what == "xstate":
             state = sample_x_state(rng)
             path = out_dir / f"xstate_{i:04d}.txt"

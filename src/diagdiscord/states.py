@@ -51,26 +51,16 @@ def _antisym(j: int, k: int) -> np.ndarray:
 
 
 def _build_su4_generators() -> tuple[np.ndarray, ...]:
-    gens = (
-        _sym(0, 1),
-        _antisym(0, 1),
-        np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex),
-        _sym(0, 2),
-        _antisym(0, 2),
-        _sym(1, 2),
-        _antisym(1, 2),
-        np.diag([1.0, 1.0, -2.0, 0.0]).astype(complex) / _SQRT3,
-        _sym(0, 3),
-        _antisym(0, 3),
-        _sym(1, 3),
-        _antisym(1, 3),
-        _sym(2, 3),
-        _antisym(2, 3),
-        np.diag([1.0, 1.0, 1.0, -3.0]).astype(complex) / _SQRT6,
-    )
+    """Generalized Gell-Mann matrices: for k = 1..3, sym/antisym (j, k) for j < k, then diag."""
+    gens = []
+    for k in range(1, 4):
+        for j in range(k):
+            gens += [_sym(j, k), _antisym(j, k)]
+        diag = np.diag([1.0] * k + [-k] + [0.0] * (3 - k)).astype(complex)
+        gens.append(diag / math.sqrt(k * (k + 1) / 2))
     for g in gens:
         g.setflags(write=False)
-    return gens
+    return tuple(gens)
 
 
 #: Traceless Hermitian SU(4) generators; SU4_GENERATORS[i] is Lambda_{i+1}.
@@ -353,9 +343,7 @@ def _sample_x_stack(rngs, params: np.ndarray, attempts: np.ndarray) -> None:
     while tried < X_PARAMS_BUDGET:
         n = min(_X_PARAMS_BLOCK, X_PARAMS_BUDGET - tried)
         candidates = np.stack([rngs[i].uniform(-1.0, 1.0, size=(n, 4)) for i in open_rows])
-        ok = np.broadcast_to(
-            _x_candidate_ok(candidates.reshape(-1, 4)), (len(open_rows) * n,)
-        ).reshape(len(open_rows), n)
+        ok = _x_candidate_ok(candidates.reshape(-1, 4)).reshape(len(open_rows), n)
         hit = ok.any(axis=1)
         first = ok.argmax(axis=1)
         for k in np.flatnonzero(hit):

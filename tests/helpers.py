@@ -82,6 +82,38 @@ def reference_lift_a(channel, rho, d_a, d_b):
     return out + channel.gamma * mixed.reshape(out.shape)
 
 
+def reference_qubit_mu_commuting_condition(channel, basis):
+    """channels.qubit_mu_commuting_condition by the sums over the channel's (p_mu, U_mu).
+
+    The package's formula before it applied the channel's superoperator:
+    max_l |sum_mu p_mu <eta_l|U_mu|psi><psi_bar|U_mu^dag|eta_l>|, and the
+    operator norm of sum_mu p_mu U_mu|psi><psi_bar|U_mu^dag when the output
+    E(|psi><psi|) is maximally mixed.
+    """
+    from diagdiscord.errors import DegenerateOutput
+    from diagdiscord.linalg import hermitian_eig
+
+    psi, psi_bar = basis[:, 0], basis[:, 1]
+    out = channel.apply(np.outer(psi, psi.conj()))
+    dec = hermitian_eig(out)
+    if dec.degenerate:
+        if np.max(np.abs(out - np.eye(2) / 2.0)) <= 1e-10:
+            a = sum(
+                p * (u @ np.outer(psi, psi_bar.conj()) @ u.conj().T)
+                for p, u in zip(channel.probs, channel.unitaries)
+            )
+            return float(np.linalg.norm(a, 2))
+        raise DegenerateOutput("E(|psi><psi|) is degenerate")
+    worst = 0.0
+    for l in range(2):
+        eta = dec.eigenvectors[:, l]
+        total = 0.0j
+        for p, u in zip(channel.probs, channel.unitaries):
+            total += p * (eta.conj() @ u @ psi) * (psi_bar.conj() @ u.conj().T @ eta)
+        worst = max(worst, abs(total))
+    return worst
+
+
 def degenerate_marginal_state(rng, d_a, d_b, rank=None):
     """Random state, locally filtered on A so rho_A has degenerate pairs.
 

@@ -24,6 +24,7 @@ from helpers import (
     reference_dephase_a,
     reference_is_discord_nongenerating,
     reference_lift_a,
+    reference_qubit_mu_commuting_condition,
     scan_cases,
     scan_channel,
 )
@@ -381,6 +382,41 @@ class TestCommutingCondition:
         mu = ch.isotropic_as_mixed_unitary(iso)
         with pytest.raises(DegenerateOutput):
             ch.qubit_mu_commuting_condition(mu, ch.HADAMARD)
+
+    @pytest.mark.parametrize("branch", ["pauli-twirl", "half-bit-flip"])
+    def test_maximally_mixed_output_matches_the_two_loop_reference(self, branch):
+        # the Pauli twirl sends every |psi><psi_bar| to 0; the equal mixture
+        # of I and X sends |0><1| to X/2, of operator norm 1/2
+        if branch == "pauli-twirl":
+            channel, basis = ch.pauli_twirl_channel(), haar(np.random.default_rng(16), 2)
+            want = 0.0
+        else:
+            channel = ch.MixedUnitaryChannel(
+                np.array([0.5, 0.5]), (np.eye(2, dtype=complex), ch.PAULI_X)
+            )
+            basis, want = np.eye(2), 0.5
+        got = ch.qubit_mu_commuting_condition(channel, basis)
+        assert abs(got - reference_qubit_mu_commuting_condition(channel, basis)) <= 1e-15
+        assert got == pytest.approx(want, abs=1e-15)
+
+    def test_degenerate_output_raises_as_the_two_loop_reference_does(self):
+        iso = ch.IsotropicChannel(1.0 - 5e-9, np.eye(2, dtype=complex))
+        mu = ch.isotropic_as_mixed_unitary(iso)
+        for condition in (ch.qubit_mu_commuting_condition, reference_qubit_mu_commuting_condition):
+            with pytest.raises(DegenerateOutput):
+                condition(mu, ch.HADAMARD)
+
+    def test_kraus_channel_is_applied_through_its_superoperator(self):
+        # amplitude damping maps |+><-| to ((1 - g) Z - i sqrt(1 - g) Y)/2 and
+        # |+><+| to the Bloch vector (sqrt(1 - g), 0, g), so the violation in
+        # the Hadamard basis is g (1 - g) / (2 sqrt(1 - g + g^2))
+        g = 0.3
+        channel = ch.amplitude_damping(g)
+        want = g * (1.0 - g) / (2.0 * math.sqrt(1.0 - g + g * g))
+        assert ch.qubit_mu_commuting_condition(channel, ch.HADAMARD) == pytest.approx(
+            want, abs=1e-15
+        )
+        assert ch.qubit_mu_commuting_condition(channel, np.eye(2)) <= 1e-15
 
 
 class TestIsotropicAsMixedUnitary:

@@ -198,7 +198,9 @@ class TestExperimentCommand:
         classify = ["experiment", "classify-sweep", "--d-a", "2", "--per-class", "1",
                     "--trials", "2"]
         if loop == "x_params":
-            monkeypatch.setattr(st, "_x_candidate_ok", lambda *r: False)
+            monkeypatch.setattr(
+                st, "_x_candidate_ok", lambda r: np.zeros(len(r), dtype=bool)
+            )
             args, expected = xstate, "valid X-state"
         elif loop == "xstate_degenerate":
             mixed = st.BipartiteState(np.eye(4) / 4, 2, 2)
@@ -326,6 +328,24 @@ class TestSampleCommand:
             assert s.dim_a == 2 and s.dim_b == 3
             assert von_neumann_entropy(s.rho) <= 1e-10
 
+    @pytest.mark.parametrize("what", ["xstate", "random"])
+    def test_file_i_is_drawn_from_the_generator_of_seed_and_i(self, what, tmp_path, capsys):
+        seed = 20171017
+        assert cli.main([
+            "sample", what, "--count", "3", "--seed", str(seed),
+            "--output-dir", str(tmp_path / "out"),
+        ]) == 0
+        paths = capsys.readouterr().out.strip().splitlines()
+        assert len(paths) == 3
+        for i, path in enumerate(paths):
+            rng = np.random.default_rng([seed, i])
+            want = (
+                st.sample_x_state(rng) if what == "xstate"
+                else st.sample_random_bipartite(rng, 2, 2, 4)
+            )
+            st.save_state(want, tmp_path / "want.txt")
+            assert Path(path).read_bytes() == (tmp_path / "want.txt").read_bytes()
+
 
 @pytest.mark.parametrize(
     "argv, env",
@@ -335,6 +355,9 @@ class TestSampleCommand:
         pytest.param(["experiment", "xstate", "--seed", "-1"], {}, id="seed=-1"),
         pytest.param(["experiment", "xstate"], {"DD_SEED": "-1"}, id="DD_SEED=-1"),
         pytest.param(["sample", "xstate", "--seed", "-1"], {}, id="sample-seed=-1"),
+        pytest.param(
+            ["sample", "xstate", "--count", "0", "--seed", "-1"], {}, id="sample-count=0-seed=-1"
+        ),
         pytest.param(["experiment", "continuity", "--eps", "5"], {}, id="eps=5"),
         pytest.param(["experiment", "classify-sweep", "--d-a", "1"], {}, id="d-a=1"),
         pytest.param(["experiment", "xstate", "--tol-equality", "0"], {}, id="tol-equality=0"),

@@ -17,7 +17,12 @@ from diagdiscord import linalg as la
 from diagdiscord import states as st
 from diagdiscord.errors import DegenerateMarginal, DimensionMismatch, NotDensityMatrix
 from diagdiscord.linalg import hermitian_eig, von_neumann_entropy
-from helpers import conjugate_a, haar, random_density
+from helpers import (
+    conjugate_a,
+    haar,
+    random_density,
+    reference_qubit_mu_commuting_condition,
+)
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 SEEDS = hs.integers(0, 2**32 - 1)
@@ -305,3 +310,13 @@ def test_optimized_discord_of_a_stack_equals_that_of_its_rows(seed, n, x_states)
     for got, want in zip(stacked, rows):
         got, want = (np.array([r.value, r.theta, r.phi]).tobytes() for r in (got, want))
         assert got == want
+
+
+@SETTINGS
+@given(seed=SEEDS, n=hs.integers(1, 4))
+def test_lemma1_condition_equals_the_two_loop_formula(seed, n):
+    rng = np.random.default_rng(seed)
+    channel = ch.random_mixed_unitary(rng, 2, n)
+    basis = haar(rng, 2)
+    got = ch.qubit_mu_commuting_condition(channel, basis)
+    assert abs(got - reference_qubit_mu_commuting_condition(channel, basis)) <= 1e-15
