@@ -168,11 +168,11 @@ def _cmd_discord(args) -> int:
             file=sys.stderr,
         )
     elif args.mode == "generalized":
+        p = _parse(float, args.p, "--p")
         try:
-            delta = dd.SchattenNorm(_parse(float, args.p, "--p"))
+            value = dd.generalized_discord(state, p, optimize_degenerate=args.optimize_degenerate)
         except InvalidP as exc:
             raise ParseError(f"--p = {args.p!r}: {exc}") from exc
-        value = dd.generalized_discord(state, delta, optimize_degenerate=args.optimize_degenerate)
         print(f"{value:.12f}")
     else:
         raise ParseError(f"unknown mode {args.mode!r}")
@@ -269,10 +269,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    seed = _resolve_seed(args)
+    if args.count < 1:
+        raise OutOfRange(f"--count must be >= 1, got {args.count}")
+    rngs = ex.sample_rngs(_resolve_seed(args), range(args.count))
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i, rng in enumerate(ex.sample_rngs(seed, range(args.count))):
+    for i, rng in enumerate(rngs):
         if args.what == "xstate":
             state = sample_x_state(rng)
             path = out_dir / f"xstate_{i:04d}.txt"

@@ -14,20 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateMarginal,
-    DimensionMismatch,
-    InvalidP,
-    OutOfDomain,
-    OutOfRange,
-)
+from .errors import DegenerateMarginal, DimensionMismatch, OutOfDomain
 from .linalg import (
     _LN2,
     SpectralDecomposition,
     binary_entropy,
+    check_schatten_p,
     first_bad_row,
     hermitian_eig,
-    relative_entropy,
     schatten_norm,
     spectrum_entropy,
     von_neumann_entropy,
@@ -41,26 +35,6 @@ from .states import (
     ptrace_b,
     superop_a,
 )
-
-class DistanceMeasure:
-    """Marker base for the distance used by generalized discord."""
-
-
-@dataclass(frozen=True)
-class RelativeEntropy(DistanceMeasure):
-    """Quantum relative entropy (contractive under channels)."""
-
-
-@dataclass(frozen=True)
-class SchattenNorm(DistanceMeasure):
-    """Schatten p-norm distance; p=1 is contractive, p=2 is Frobenius."""
-
-    p: float = 2.0
-
-    def __post_init__(self):
-        if not (self.p == math.inf or self.p >= 1.0):
-            raise InvalidP(f"p must be >= 1 or inf, got {self.p}")
-
 
 @dataclass(frozen=True)
 class PiResult:
@@ -256,25 +230,21 @@ def diagonal_discord_via_mi(
 
 
 def generalized_discord(
-    state: BipartiteState,
-    delta: DistanceMeasure,
-    optimize_degenerate: bool = False,
+    state: BipartiteState, p: float = 2.0, optimize_degenerate: bool = False
 ) -> float:
-    """delta(rho, pi_A(rho)) for the chosen distance measure.
+    """Schatten p-distance ||rho - pi_A(rho)||_p, one per row of a stack.
 
-    In degenerate-optimizing mode the distance itself is minimized over the
-    eigenbases of the degenerate blocks. Relative entropy is the scalar
-    cross-check: a stack raises DimensionMismatch.
+    p >= 1 or inf: p = 1 is contractive, p = 2 (Frobenius) is not
+    (Piani, PRA 86, 034101 (2012)). p is checked before the marginal, so a bad p raises InvalidP
+    even on a degenerate state. In degenerate-optimizing mode the distance
+    itself is minimized over the eigenbases of the degenerate blocks. The
+    relative-entropy member, S(rho || pi_A(rho)), is the diagonal discord.
     """
-    if isinstance(delta, RelativeEntropy):
-        res = pi_a(state, optimize_degenerate)
-        return relative_entropy(state.rho, res.dephased.rho)
-    if not isinstance(delta, SchattenNorm):
-        raise TypeError(f"unsupported distance measure {delta!r}")
+    check_schatten_p(p)
     d_a, d_b = state.dim_a, state.dim_b
 
     def distance(rho: np.ndarray, basis: np.ndarray):
-        return schatten_norm(rho - dephase_a(rho, d_a, d_b, basis), delta.p)
+        return schatten_norm(rho - dephase_a(rho, d_a, d_b, basis), p)
 
     return distance(state.rho, _eigenbasis(state, optimize_degenerate, distance))
 
@@ -564,39 +534,42 @@ def optimized_discord_2q(
 
 # --- continuity bounds --------------------------------------------------------
 
+def _check_bound_domain(d_a: int, d_b: int, gap: float, eps: float) -> None:
+    """Raise OutOfDomain unless d_A, d_B >= 1, d_A d_B >= 2, gap > 0 and eps >= 0.
+
+    Each test is written so that a NaN fails it.
+    """
+    if not (d_a >= 1 and d_b >= 1 and d_a * d_b >= 2):
+        raise OutOfDomain(f"need d_A, d_B >= 1 and d_A * d_B >= 2, got ({d_a}, {d_b})")
+    if not gap > 0.0:
+        raise OutOfDomain(f"gap must be positive, got {gap}")
+    if not eps >= 0.0:
+        raise OutOfDomain(f"eps must be nonnegative, got {eps}")
+
+
 def continuity_bound(d_a: int, d_b: int, gap: float, eps: float) -> float:
     """Fannes-type bound on |change of diagonal discord| in bits.
 
     (sqrt(2 d_A^3 d_B^3)/gap + 1) eps log2(d_A d_B - 1)
       + H[(2 sqrt(2 d_A^3 d_B^3)/gap + 1) eps / 2] + H(eps / 2),
-    valid while both binary-entropy arguments stay in [0, 1].
+    valid while both binary-entropy arguments stay in [0, 1]. A NaN argument
+    (eps = 0 at a gap so small that c / gap overflows) is outside it too.
     """
-    if d_a < 1 or d_b < 1 or d_a * d_b < 2:
-        raise OutOfDomain("need d_A * d_B >= 2")
-    if gap <= 0.0:
-        raise OutOfDomain(f"gap must be positive, got {gap}")
-    if eps < 0.0:
-        raise OutOfDomain(f"eps must be nonnegative, got {eps}")
+    _check_bound_domain(d_a, d_b, gap, eps)
     c = math.sqrt(2.0 * d_a**3 * d_b**3)
     arg1 = 0.5 * (2.0 * c / gap + 1.0) * eps
     arg2 = 0.5 * eps
-    if arg1 > 1.0 or arg2 > 1.0:
+    if not (arg1 <= 1.0 and arg2 <= 1.0):
         raise OutOfDomain(
-            f"binary-entropy argument {max(arg1, arg2):.3e} exceeds 1; "
+            f"binary-entropy argument {max(arg1, arg2):.3e} is not in [0, 1]; "
             "eps too large for this gap"
         )
-    try:
-        h1 = binary_entropy(arg1)
-        h2 = binary_entropy(arg2)
-    except OutOfRange as exc:  # pragma: no cover - guarded above
-        raise OutOfDomain(str(exc)) from exc
+    h1 = binary_entropy(arg1)
+    h2 = binary_entropy(arg2)
     return (c / gap + 1.0) * eps * math.log2(d_a * d_b - 1.0) + h1 + h2
 
 
 def schatten_continuity_bound(d_a: int, d_b: int, gap: float, eps: float) -> float:
     """Linear continuity bound 2 (1 + sqrt(2 d_A^3 d_B^3)/gap) eps."""
-    if gap <= 0.0:
-        raise OutOfDomain(f"gap must be positive, got {gap}")
-    if eps < 0.0:
-        raise OutOfDomain(f"eps must be nonnegative, got {eps}")
+    _check_bound_domain(d_a, d_b, gap, eps)
     return 2.0 * (1.0 + math.sqrt(2.0 * d_a**3 * d_b**3) / gap) * eps

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import channels as ch
 from .discord import (
-    SchattenNorm,
     continuity_bound,
     diagonal_discord,
     generalized_discord,
@@ -515,7 +514,7 @@ def run_continuity_check(
                 f"{largest_gap:.3g}; use a smaller eps"
             )
         dd0 = diagonal_discord(state)
-        s20 = generalized_discord(state, SchattenNorm(2))
+        s20 = generalized_discord(state, 2.0)
         rows = []
         resampled_dirs = 0
         for eps in eps_list:
@@ -540,7 +539,7 @@ def run_continuity_check(
                     f"and its marginal gap above {gap / 2.0:.3g}; use a smaller eps"
                 )
             dd1 = diagonal_discord(pert_state)
-            s21 = generalized_discord(pert_state, SchattenNorm(2))
+            s21 = generalized_discord(pert_state, 2.0)
             bound = continuity_bound(d_a, d_b, gap, eps)
             sbound = schatten_continuity_bound(d_a, d_b, gap, eps)
             rows.append(

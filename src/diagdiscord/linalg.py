@@ -220,14 +220,19 @@ def relative_entropy(rho, sigma) -> float:
     return max(value, 0.0)
 
 
+def check_schatten_p(p) -> None:
+    """Raise InvalidP unless the Schatten exponent p is >= 1 or inf (NaN fails)."""
+    if not (p == math.inf or p >= 1.0):
+        raise InvalidP(f"p must be >= 1 or inf, got {p}")
+
+
 def schatten_norm(m, p):
     """Schatten p-norm (sum_i sigma_i^p)^(1/p); p=inf is the operator norm.
 
     A stack (..., d, d) gives one norm per row, each equal to the norm of
     that matrix alone, bit for bit; a single matrix gives a float.
     """
-    if not (p == math.inf or p >= 1.0):
-        raise InvalidP(f"p must be >= 1 or inf, got {p}")
+    check_schatten_p(p)
     m = np.asarray(m, dtype=complex)
     sing = np.linalg.svd(m, compute_uv=False)
     top = sing.max(axis=-1, initial=0.0)

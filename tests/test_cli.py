@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -93,6 +94,14 @@ class TestDiscordCommand:
         err = capsys.readouterr().err
         if code == cli.EXIT_PARSE:
             assert err.startswith("parse error:") and "--p" in err and repr(p) in err
+
+    @pytest.mark.parametrize("p", ["0.5", "nan"])
+    def test_bad_schatten_exponent_is_reported_before_the_degenerate_marginal(
+        self, bell_file, capsys, p
+    ):
+        assert cli.main(["discord", bell_file, "--mode", "generalized", "--p", p]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and "--p" in err and repr(p) in err
 
     def test_multi_mode(self, tmp_path, capsys):
         rho = 0.8 * bell_state().rho + 0.2 * np.diag([0.4, 0.3, 0.2, 0.1])
@@ -345,6 +354,46 @@ class TestSampleCommand:
             )
             st.save_state(want, tmp_path / "want.txt")
             assert Path(path).read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["experiment", "monotonicity", "--samples", "0"], id="monotonicity-samples=0"),
+        pytest.param(["experiment", "xstate", "--samples", "0"], id="xstate-samples=0"),
+        pytest.param(["experiment", "continuity", "--samples", "0"], id="continuity-samples=0"),
+        pytest.param(["experiment", "classify-sweep", "--per-class", "0"], id="sweep-per-class=0"),
+        pytest.param(["experiment", "classify-sweep", "--trials", "0"], id="sweep-trials=0"),
+        pytest.param(["classify", "CHANNEL", "--trials", "0"], id="classify-trials=0"),
+        pytest.param(["sample", "random", "--count", "0"], id="sample-count=0"),
+        pytest.param(["sample", "xstate", "--count", "-2"], id="sample-count=-2"),
+    ],
+)
+def test_count_below_one_exits_3_before_any_output(argv, tmp_path, capsys):
+    channel = tmp_path / "ph.txt"
+    ch.save_channel(ch.probabilistic_hadamard(), channel)
+    out = tmp_path / "out"
+    argv = [str(channel) if a == "CHANNEL" else a for a in argv]
+    assert cli.main(argv + ["--output-dir", str(out)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error:")
+    assert not out.exists()
+
+
+def test_every_readme_cli_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    # "[--flag]" marks an optional flag: parse the example with it
+    examples = [
+        shlex.split(line.replace("[", "").replace("]", ""))[1:]
+        for line in block.splitlines()
+        if line.startswith("diagdiscord ")
+    ]
+    parser = cli.build_parser()
+    for argv in examples:
+        parser.parse_args(argv)
+    assert {argv[0] for argv in examples} == {"discord", "experiment", "classify", "sample"}
 
 
 @pytest.mark.parametrize(

@@ -210,33 +210,26 @@ class TestGeneralizedDiscord:
         s = st.classical_quantum_state(
             [0.8, 0.2], np.eye(2), [random_density(rng, 2) for _ in range(2)]
         )
-        for delta in (dd.RelativeEntropy(), dd.SchattenNorm(1), dd.SchattenNorm(2), dd.SchattenNorm(math.inf)):
-            assert dd.generalized_discord(s, delta) <= 1e-10
+        for p in (1, 2, math.inf):
+            assert dd.generalized_discord(s, p) <= 1e-10
+        assert relative_entropy(s.rho, dd.pi_a(s).dephased.rho) <= 1e-10
 
     def test_bell_frobenius(self):
-        got = dd.generalized_discord(
-            bell_state(), dd.SchattenNorm(2), optimize_degenerate=True
-        )
+        got = dd.generalized_discord(bell_state(), 2, optimize_degenerate=True)
         assert got == pytest.approx(1 / math.sqrt(2), abs=1e-9)
 
-    def test_relative_entropy_variant_equals_diagonal(self):
-        rng = np.random.default_rng(12)
-        for _ in range(100):
-            s = random_state(rng, 2, 2)
-            assert dd.generalized_discord(s, dd.RelativeEntropy()) == pytest.approx(
-                dd.diagonal_discord(s), abs=1e-9
-            )
-
     def test_invalid_p(self):
-        with pytest.raises(InvalidP):
-            dd.SchattenNorm(0.3)
+        # checked before the degenerate marginal of the Bell state
+        for p in (0.3, math.nan):
+            with pytest.raises(InvalidP):
+                dd.generalized_discord(bell_state(), p)
 
 
 #: the public values that run the degenerate-eigenbasis search
 SEARCH_MEASURES = [
     lambda s: dd.pi_a(s, optimize_degenerate=True).value,
     *(
-        lambda s, p=p: dd.generalized_discord(s, dd.SchattenNorm(p), optimize_degenerate=True)
+        lambda s, p=p: dd.generalized_discord(s, p, optimize_degenerate=True)
         for p in (1.0, 2.0, math.inf)
     ),
 ]
@@ -586,8 +579,13 @@ class TestContinuityBounds:
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
             dd.continuity_bound(2, 2, 1e-4, 0.5)
-        with pytest.raises(OutOfDomain):
-            dd.continuity_bound(2, 2, 0.0, 1e-3)
+        with pytest.raises(OutOfDomain):  # c / gap overflows: the argument is inf * 0
+            dd.continuity_bound(2, 2, 5e-324, 0.0)
+        for bound in (dd.continuity_bound, dd.schatten_continuity_bound):
+            for args in [(2, 2, 0.0, 1e-3), (2, 2, 0.5, -1e-3), (2, 2, math.nan, 1e-3),
+                         (2, 2, 0.5, math.nan), (0, 2, 0.1, 1e-3), (1, 1, 0.5, 1e-3)]:
+                with pytest.raises(OutOfDomain):
+                    bound(*args)
 
     def test_schatten_bound_value(self):
         got = dd.schatten_continuity_bound(2, 2, 0.4, 1e-3)
@@ -624,8 +622,7 @@ class TestContinuityBounds:
             change = abs(dd.diagonal_discord(ps) - dd.diagonal_discord(s))
             assert change <= dd.continuity_bound(2, 2, dec.min_gap, eps)
             s2_change = abs(
-                dd.generalized_discord(ps, dd.SchattenNorm(2))
-                - dd.generalized_discord(s, dd.SchattenNorm(2))
+                dd.generalized_discord(ps, 2) - dd.generalized_discord(s, 2)
             )
             assert s2_change <= dd.schatten_continuity_bound(2, 2, dec.min_gap, eps)
             checked += 1

@@ -15,7 +15,7 @@ from diagdiscord import channels as ch
 from diagdiscord import discord as dd
 from diagdiscord import linalg as la
 from diagdiscord import states as st
-from diagdiscord.errors import DegenerateMarginal, DimensionMismatch, NotDensityMatrix
+from diagdiscord.errors import DegenerateMarginal, NotDensityMatrix
 from diagdiscord.linalg import hermitian_eig, von_neumann_entropy
 from helpers import (
     conjugate_a,
@@ -227,8 +227,7 @@ def test_stacked_states_and_pi_a_equal_their_rows(seed, shape):
     assume(not states.marginal_eig.degenerate.any())
     res = dd.pi_a(states)
     mi, via_mi = dd.mutual_information(states), dd.diagonal_discord_via_mi(states)
-    with pytest.raises(DimensionMismatch):  # relative entropy is the scalar cross-check
-        dd.generalized_discord(states, dd.RelativeEntropy())
+    schatten = {p: dd.generalized_discord(states, p) for p in (1.0, 2.0, math.inf)}
     for i, rho in enumerate(states.rho):
         state = st.BipartiteState(rho, d_a, d_b)
         one = dd.pi_a(state)
@@ -238,6 +237,8 @@ def test_stacked_states_and_pi_a_equal_their_rows(seed, shape):
         assert res.degenerate[i] == one.degenerate
         assert _close(mi[i], dd.mutual_information(state))
         assert _close(via_mi[i], dd.diagonal_discord_via_mi(state))
+        for p, stacked in schatten.items():
+            assert _close(stacked[i], dd.generalized_discord(state, p))
 
 
 @SETTINGS
@@ -283,6 +284,15 @@ def test_a_degenerate_row_is_optimized_alone(seed, d_b, n, where):
         one = dd.pi_a(st.BipartiteState(rho, 2, d_b), optimize_degenerate=(i == bad))
         assert res.degenerate[i] == one.degenerate == (i == bad)
         assert _close(res.value[i], one.value)
+    for p in (1.0, 2.0, math.inf):
+        with pytest.raises(DegenerateMarginal, match=f"row {bad}"):
+            dd.generalized_discord(states, p)
+        stacked = dd.generalized_discord(states, p, optimize_degenerate=True)
+        for i, rho in enumerate(rhos):
+            one = dd.generalized_discord(
+                st.BipartiteState(rho, 2, d_b), p, optimize_degenerate=(i == bad)
+            )
+            assert _close(stacked[i], one)
 
 
 @SETTINGS
