@@ -52,7 +52,8 @@ def _fmt(x: float) -> str:
 
 
 def write_rows_csv(path: Path, columns: list[str], rows: np.ndarray) -> None:
-    lines = [",".join(columns), *(",".join(_fmt(v) for v in row) for row in rows)]
+    line = ",".join(["{:.17g}"] * len(columns)).format
+    lines = [",".join(columns), *(line(*row) for row in rows.tolist())]
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -272,17 +273,17 @@ def _cmd_sample(args) -> int:
     if args.count < 1:
         raise OutOfRange(f"--count must be >= 1, got {args.count}")
     rngs = ex.sample_rngs(_resolve_seed(args), range(args.count))
+    # every state is drawn, and its dimensions and rank checked, before any output
+    if args.what == "xstate":
+        states, name = [sample_x_state(rng) for rng in rngs], "xstate_{:04d}.txt"
+    else:
+        d_a, d_b = args.dims
+        states = [sample_random_bipartite(rng, d_a, d_b, args.rank) for rng in rngs]
+        name = f"random_{d_a}x{d_b}_{{:04d}}.txt"
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i, rng in enumerate(rngs):
-        if args.what == "xstate":
-            state = sample_x_state(rng)
-            path = out_dir / f"xstate_{i:04d}.txt"
-        else:
-            d_a, d_b = args.dims
-            rank = args.rank if args.rank is not None else d_a * d_b
-            state = sample_random_bipartite(rng, d_a, d_b, rank)
-            path = out_dir / f"random_{d_a}x{d_b}_{i:04d}.txt"
+    for i, state in enumerate(states):
+        path = out_dir / name.format(i)
         save_state(state, path)
         print(str(path))
     return EXIT_OK

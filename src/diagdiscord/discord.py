@@ -294,21 +294,19 @@ def _grid_directions(n_theta: int, n_phi: int) -> np.ndarray:
 # n and -n are one measurement, so the theta <= pi/2 half of a 64x32 grid
 # (theta_0 .. theta_31 at every phi) holds one of each antipodal pair.
 _HALF_GRID = _grid_directions(64, 32)[: 32 * 32]
-#: the index pairs (i, j), i <= j, of a symmetric quadratic form n^T M n
-_PAIRS = ([0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2])
-#: x, y, z of the half grid, and x^2, y^2, z^2, 2xy, 2xz, 2yz: one row each
-_HALF_LINEAR = np.ascontiguousarray(_HALF_GRID.T)
-_HALF_QUADRATIC = (
-    _HALF_LINEAR[_PAIRS[0]] * _HALF_LINEAR[_PAIRS[1]] * np.array([1.0, 1, 1, 2, 2, 2])[:, None]
-)
+_THETA, _PHI = (g.reshape(64, 32) for g in _angle_grid(64, 32))
+#: sin and cos of the half grid's thetas as columns (32, 1) and of its phis as
+#: rows (32,): direction (theta_i, phi_j) is row 32 i + j of _HALF_GRID
+_SIN_T, _COS_T = np.sin(_THETA[:32, :1]), np.cos(_THETA[:32, :1])
+_SIN_P, _COS_P = np.sin(_PHI[0]), np.cos(_PHI[0])
 #: states evaluated on the half grid at once; (16, 1024) temporaries stay in cache
 _GRID_CHUNK = 16
 # glibc raises its mmap threshold to the largest mmapped block freed so far.
-# Freeing this 2 MiB one keeps every array of 128 KiB (the default) to 2 MiB
-# on the heap, mapped across calls: the grid's chunk temporaries and every
-# workload's stacks, such as monotonicity's 600 x 4x4 complex ones. Else they
-# fault in again: 6 400 minor faults against 23 in 15 xstate rounds of 300
-# states, 9 000 against 0 in 8 monotonicity rounds of 3 x 600 states.
+# Freeing this 2 MiB one keeps arrays of 128 KiB (the default) to 2 MiB on the heap,
+# mapped across calls: the grid's chunk temporaries, the X-state sampler's candidate
+# buffer (1.2 MB for 300 samples) and every workload's stacks, such as monotonicity's
+# 600 x 4x4 complex ones. Else they fault in again: 6 400 minor faults against 23 in
+# 15 xstate rounds of 300 states, 9 000 against 0 in 8 monotonicity rounds of 3 x 600.
 np.empty(1 << 18)
 #: I, sigma_x, sigma_y, sigma_z
 _PAULI = np.array(
@@ -356,41 +354,43 @@ def _objective(n: np.ndarray, a, b, t) -> np.ndarray:
     )
 
 
-def _grid_form(coef: np.ndarray, monomials: np.ndarray) -> np.ndarray:
-    """sum_i coef[:, i] monomials[i]: one elementwise product and sum per term."""
-    out = coef[:, 0, None] * monomials[0]
-    for i in range(1, len(monomials)):
-        out += coef[:, i, None] * monomials[i]
-    return out
-
-
 def _grid_minimizers(a, b, t) -> np.ndarray:
     """Each state's least direction (k, 3) on the half direction grid.
 
-    With |b +- T^T n|^2 = |b|^2 +- 2 n.(Tb) + n^T (T T^T) n a state enters
-    only through a, Tb, T T^T and |b|^2, against the fixed grid monomials,
-    and ln 2 times the objective is sum_+- [x ln x (p_+-)
-    - x ln x (lam_+-,+) - x ln x (lam_+-,-)]. The stack is evaluated
-    _GRID_CHUNK states at a time. Every product and sum is elementwise, with
-    no BLAS, so a row's bits depend neither on the stack nor on its chunk.
+    With |b +- T^T n|^2 = |b|^2 +- 2 n.(Tb) + n^T M n, M = T T^T, ln 2 times
+    the objective is sum_+- [x ln x (p_+-) - x ln x (lam_+-,+) - x ln x
+    (lam_+-,-)]. At n = (sin th cos ph, sin th sin ph, cos th) each form
+    separates into phi profiles and theta columns: a.n = sin th A + cos th a_z
+    with A = a_x cos ph + a_y sin ph, 2 n.(Tb) alike, and n^T M n = sin^2 th P
+    + 2 sin th cos th Q + cos^2 th M_zz with P = M_xx cos^2 ph + 2 M_xy cos ph
+    sin ph + M_yy sin^2 ph and Q = M_xz cos ph + M_yz sin ph. The stack is
+    evaluated _GRID_CHUNK states at a time. Every product and sum is
+    elementwise, with no BLAS, so a row's bits depend neither on the stack
+    nor on its chunk.
     """
-    tb2 = 2.0 * (t[:, :, 0] * b[:, None, 0] + t[:, :, 1] * b[:, None, 1]
-                 + t[:, :, 2] * b[:, None, 2])
-    tt = t[:, :, None, 0] * t[:, None, :, 0] + t[:, :, None, 1] * t[:, None, :, 1]
-    tt += t[:, :, None, 2] * t[:, None, :, 2]
-    tt = tt[:, _PAIRS[0], _PAIRS[1]]
-    bb = (b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1] + b[:, 2] * b[:, 2])[:, None]
+    tb = t[:, :, 0] * b[:, None, 0] + t[:, :, 1] * b[:, None, 1] + t[:, :, 2] * b[:, None, 2]
+    m = t[:, :, None, 0] * t[:, None, :, 0] + t[:, :, None, 1] * t[:, None, :, 1]
+    m += t[:, :, None, 2] * t[:, None, :, 2]
+    bb = b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1] + b[:, 2] * b[:, 2]
+    a, tb, m = a[:, None, None], 2.0 * tb[:, None, None], m[:, None, None]
+    # (N, 1, 32) phi profiles against (32, 1) theta columns
+    u_phi, s_phi = (x[..., 0] * _COS_P + x[..., 1] * _SIN_P for x in (a, tb))
+    p_phi = m[..., 0, 0] * _COS_P**2 + m[..., 0, 1] * (2.0 * _COS_P * _SIN_P)
+    p_phi += m[..., 1, 1] * _SIN_P**2
+    q_phi = m[..., 0, 2] * (2.0 * _COS_P) + m[..., 1, 2] * (2.0 * _SIN_P)
+    u_theta, s_theta = _COS_T * a[..., 2], _COS_T * tb[..., 2]
+    r_theta = _COS_T**2 * m[..., 2, 2] + bb[:, None, None]
     best = np.empty(len(a), dtype=np.intp)
     for start in range(0, len(a), _GRID_CHUNK):
         chunk = slice(start, start + _GRID_CHUNK)
-        u = _grid_form(a[chunk], _HALF_LINEAR)
-        s = _grid_form(tb2[chunk], _HALF_LINEAR)
-        rr = _grid_form(tt[chunk], _HALF_QUADRATIC) + bb[chunk]
+        u = _SIN_T * u_phi[chunk] + u_theta[chunk]
+        s = _SIN_T * s_phi[chunk] + s_theta[chunk]
+        rr = _SIN_T**2 * p_phi[chunk] + (_SIN_T * _COS_T) * q_phi[chunk] + r_theta[chunk]
         g = np.zeros_like(u)
         for q, r2 in ((1.0 + u, rr + s), (1.0 - u, rr - s)):
             r = np.sqrt(np.maximum(r2, 0.0))
             g += xlogx(0.5 * q) - xlogx(0.25 * (q + r)) - xlogx(0.25 * (q - r))
-        best[chunk] = np.argmin(g, axis=-1)
+        best[chunk] = np.argmin(g.reshape(len(g), -1), axis=-1)
     return _HALF_GRID[best]
 
 

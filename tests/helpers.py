@@ -243,6 +243,23 @@ def reference_optimized_discord_2q(state):
     return max(spectrum_entropy(state.marginal_eig.eigenvalues) - state.entropy + best, 0.0)
 
 
+def reference_x_candidate_ok(r6, r8, r9, r15) -> bool:
+    """Whether one candidate (r6, r8, r9, r15) is a valid X-state, by scalar arithmetic.
+
+    Inside the generalized Bloch ball, then PSD via the two 2x2 blocks, with
+    the package's order of operations.
+    """
+    s2, s6 = np.sqrt(2.0), np.sqrt(6.0)
+    if r6 * r6 + 4.0 * r8 * r8 + r9 * r9 + r15 * r15 > 1.0:
+        return False
+    a = (1.0 + 4.0 * s2 * r8 + r15) / 4.0
+    b = (1.0 - 2.0 * s2 * r8 + r15) / 4.0
+    d = (1.0 - 3.0 * r15) / 4.0
+    w = s6 * r9 / 4.0
+    z = s6 * r6 / 4.0
+    return bool(b >= abs(z) and a >= 0.0 and d >= 0.0 and a * d >= w * w)
+
+
 def reference_sample_x_params(rng):
     """(params, attempts): one uniform candidate per draw, tested by scalar arithmetic.
 
@@ -251,17 +268,9 @@ def reference_sample_x_params(rng):
     """
     from diagdiscord.states import X_PARAMS_BUDGET, XStateParams
 
-    s2, s6 = np.sqrt(2.0), np.sqrt(6.0)
     for attempts in range(1, X_PARAMS_BUDGET + 1):
         r6, r8, r9, r15 = rng.uniform(-1.0, 1.0, size=4)
-        if r6 * r6 + 4.0 * r8 * r8 + r9 * r9 + r15 * r15 > 1.0:
-            continue
-        a = (1.0 + 4.0 * s2 * r8 + r15) / 4.0
-        b = (1.0 - 2.0 * s2 * r8 + r15) / 4.0
-        d = (1.0 - 3.0 * r15) / 4.0
-        w = s6 * r9 / 4.0
-        z = s6 * r6 / 4.0
-        if b >= abs(z) and a >= 0.0 and d >= 0.0 and a * d >= w * w:
+        if reference_x_candidate_ok(r6, r8, r9, r15):
             return XStateParams(r6, r8, r9, r15), attempts
     raise AssertionError("no valid X-state within the budget")
 

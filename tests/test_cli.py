@@ -1,3 +1,4 @@
+import math
 import os
 import shlex
 import subprocess
@@ -379,6 +380,29 @@ def test_count_below_one_exits_3_before_any_output(argv, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("parse error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--dims", "0", "2"], ["--rank", "9"], ["--rank", "0"]],
+    ids=["dims=0x2", "rank=9", "rank=0"],
+)
+def test_bad_sample_dims_or_rank_exits_3_before_any_output(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["sample", "random", *argv, "--output-dir", str(out)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error:")
+    assert not out.exists()
+
+
+def test_rows_csv_writes_each_value_as_fmt_does(tmp_path):
+    values = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, 1.0 / 3.0, 1e16]
+    rows = np.array([values, values[::-1]])
+    columns = [f"c{i}" for i in range(len(values))]
+    cli.write_rows_csv(tmp_path / "rows.csv", columns, rows)
+    want = [",".join(columns), *(",".join(cli._fmt(v) for v in row) for row in rows)]
+    assert (tmp_path / "rows.csv").read_bytes() == ("\n".join(want) + "\n").encode("ascii")
 
 
 def test_every_readme_cli_example_parses():

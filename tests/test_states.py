@@ -23,6 +23,7 @@ from helpers import (
     random_density,
     random_state,
     reference_sample_x_params,
+    reference_x_candidate_ok,
 )
 
 
@@ -219,6 +220,47 @@ class TestXStateSampler:
         params, attempts = st.sample_x_params(rngs, return_attempts=True)
         assert params.shape == (100, 4)
         assert np.sum(attempts > st._X_PARAMS_BLOCK) >= 1
+        for row, n, rng, ref in zip(params, attempts, rngs, refs):
+            want, want_n = reference_sample_x_params(ref)
+            assert tuple(row) == want.as_row()
+            assert n == want_n
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_candidate_test_equals_the_scalar_predicate(self):
+        # 10^5 uniform rows, and rows on each boundary: a Bloch-ball sum of
+        # exactly 1.0, b == |z|, a d == w^2 (r = 0.4082482904638631 gives
+        # sqrt6 r / 4 == 0.25 exactly) and d == 0
+        r = 0.4082482904638631
+        edges = np.array([
+            [0.0, 0.0, 0.0, -1.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0],
+            [0.5, 0.25, 0.5, -0.5], [r, 0.0, 0.0, 0.0], [-r, 0.0, 0.0, 0.0],
+            [0.0, 0.0, r, 0.0], [r, 0.0, -r, 0.0], [0.0, 0.0, 0.0, 1.0 / 3.0],
+            [-0.0, -0.0, -0.0, -0.0],
+        ])
+        assert math.sqrt(6.0) * r / 4.0 == 0.25 and 1.0 - 3.0 * (1.0 / 3.0) == 0.0
+        rows = np.concatenate([np.random.default_rng(42).uniform(-1, 1, (10**5, 4)), edges])
+        got = st._x_candidate_ok(rows)
+        want = np.array([reference_x_candidate_ok(*row) for row in rows])
+        assert np.array_equal(got, want)
+        assert got[-len(edges):].tolist() == [
+            True, False, False, False, True, True, True, True, True, True
+        ]
+
+    def test_short_final_block_gives_each_generators_own_stream(self, monkeypatch):
+        # a budget of 100 in blocks of 64 ends in a block of 36; the chosen
+        # samples accept within the budget, some only in that last block, and
+        # one that accepts at 101 .. 128 must run out, not draw a full block
+        need = {i: reference_sample_x_params(np.random.default_rng([41, i]))[1] for i in range(60)}
+        chosen = [i for i in need if need[i] <= 100]
+        beyond = next(i for i in need if 100 < need[i] <= 128)
+        monkeypatch.setattr(st, "X_PARAMS_BUDGET", 100)
+        monkeypatch.setattr(st, "_X_PARAMS_BLOCK", 64)
+        with pytest.raises(OutOfDomain, match="valid X-state"):
+            st.sample_x_params([np.random.default_rng([41, beyond])])
+        rngs = [np.random.default_rng([41, i]) for i in chosen]
+        refs = [np.random.default_rng([41, i]) for i in chosen]
+        params, attempts = st.sample_x_params(rngs, return_attempts=True)
+        assert np.sum(attempts > 64) >= 1
         for row, n, rng, ref in zip(params, attempts, rngs, refs):
             want, want_n = reference_sample_x_params(ref)
             assert tuple(row) == want.as_row()
