@@ -139,19 +139,13 @@ def hermitian_eig(m) -> SpectralDecomposition:
     return SpectralDecomposition(vals, vecs, min_gap, blocks, degenerate)
 
 
-def density_eigenvalues(rho, what: str = "state") -> np.ndarray:
-    """Eigenvalues of a density matrix (..., d, d), validated, ascending and unclamped.
+def check_density_spectrum(vals: np.ndarray, what: str = "state") -> np.ndarray:
+    """Raise NotDensityMatrix unless an ascending spectrum (..., d) is a density spectrum.
 
-    This is the package's one density check: finite, Hermitian, no
-    eigenvalue below -EIG_FLOOR_TOL, unit trace. Entries in
-    [-EIG_FLOOR_TOL, 0) are returned as they are; ``spectrum_entropy``
-    ignores them. ``what`` names the matrix in the NotDensityMatrix message,
-    together with the first failing row of a stack. Each check runs on the
-    whole stack; rows are looked at only to name a failing one.
+    No eigenvalue may lie below -EIG_FLOOR_TOL and the eigenvalues must sum
+    to 1 within TRACE_TOL. ``what`` names the matrix in the message, together
+    with the first failing row of a stack. The spectrum is returned as it is.
     """
-    rho = np.asarray(rho, dtype=complex)
-    _check_hermitian(rho, what, NotDensityMatrix)
-    vals = np.linalg.eigvalsh(rho)
     lowest = vals[..., 0]
     if lowest.min(initial=0.0) < -EIG_FLOOR_TOL:
         label, idx = first_bad_row(what, lowest < -EIG_FLOOR_TOL)
@@ -162,6 +156,50 @@ def density_eigenvalues(rho, what: str = "state") -> np.ndarray:
         label, idx = first_bad_row(what, off > TRACE_TOL)
         raise NotDensityMatrix(f"{label} trace {float(tr[idx])!r} != 1")
     return vals
+
+
+def check_density_matrix(rho, what: str = "state") -> np.ndarray:
+    """rho (each row of a stack) as a complex array; NotDensityMatrix unless square, finite and Hermitian."""
+    rho = np.asarray(rho, dtype=complex)
+    _check_hermitian(rho, what, NotDensityMatrix)
+    return rho
+
+
+def density_eigenvalues(rho, what: str = "state") -> np.ndarray:
+    """Eigenvalues of a density matrix (..., d, d), validated, ascending and unclamped.
+
+    This is the package's one density check: ``check_density_matrix`` on the
+    matrix, then ``check_density_spectrum`` on its ``eigvalsh``. Entries in
+    [-EIG_FLOOR_TOL, 0) are returned as they are; ``spectrum_entropy``
+    ignores them. Each check runs on the whole stack; rows are looked at
+    only to name a failing one.
+    """
+    rho = check_density_matrix(rho, what)
+    return check_density_spectrum(np.linalg.eigvalsh(rho), what)
+
+
+def block_spectrum(blocks: np.ndarray) -> np.ndarray:
+    """Ascending union of the spectra of Hermitian blocks (..., k, n, n), shape (..., k n).
+
+    The blocks are symmetrized first. n = 1 takes the real diagonal, and
+    n = 2 the closed form (a + d)/2 -+ hypot((a - d)/2, |b|) with no LAPACK
+    call (within about 1.5 eps |B| of the exact spectrum, where eigvalsh
+    comes within about 5 eps |B|); larger blocks go to ``eigvalsh``. A
+    block-diagonal matrix has this spectrum: that of a dephased state is
+    taken from its conditional blocks.
+    """
+    blocks = (blocks + blocks.conj().swapaxes(-1, -2)) / 2.0
+    n = blocks.shape[-1]
+    if n == 1:
+        vals = blocks[..., 0].real
+    elif n == 2:
+        a, d = blocks[..., 0, 0].real, blocks[..., 1, 1].real
+        mean = (a + d) / 2.0
+        rad = np.hypot((a - d) / 2.0, np.abs(blocks[..., 0, 1]))
+        vals = np.stack([mean - rad, mean + rad], axis=-1)
+    else:
+        vals = np.linalg.eigvalsh(blocks)
+    return np.sort(vals.reshape(vals.shape[:-2] + (vals.shape[-2] * n,)), axis=-1)
 
 
 def xlogx(x: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ serialization format (header ``dims d_A d_B ...`` followed by rows of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,6 +27,8 @@ from .errors import (
 )
 from .linalg import (
     SpectralDecomposition,
+    check_density_matrix,
+    check_density_spectrum,
     density_eigenvalues,
     hermitian_eig,
     spectrum_entropy,
@@ -74,14 +76,24 @@ class _ValidatedDensity:
     """Keeps the spectrum found by the density check, ascending and unclamped.
 
     ``rho`` may be one matrix or a stack (..., d, d); ``spectrum`` and
-    ``entropy`` then hold one row per matrix.
+    ``entropy`` then hold one row per matrix. The dephasing maps hand in the
+    spectrum of their output, the union of its conditional blocks' spectra
+    (``linalg.block_spectrum``), as ``_spectrum``; the matrix is then still
+    checked to be finite and Hermitian, and that spectrum to have no
+    eigenvalue below the floor and unit trace, but no eigensolve runs.
     """
 
     rho: np.ndarray
     spectrum: np.ndarray
 
-    def _validate(self, rho: np.ndarray) -> None:
-        spectrum = density_eigenvalues(rho)
+    def _validate(self, rho: np.ndarray, spectrum: np.ndarray | None) -> None:
+        if spectrum is None:
+            spectrum = density_eigenvalues(rho)
+        else:
+            check_density_matrix(rho)
+            if spectrum.shape != rho.shape[:-1]:
+                raise DimensionMismatch(f"spectrum {spectrum.shape} of a state {rho.shape}")
+            check_density_spectrum(spectrum)
         rho.setflags(write=False)
         spectrum.setflags(write=False)
         object.__setattr__(self, "rho", rho)
@@ -89,7 +101,12 @@ class _ValidatedDensity:
 
     @property
     def entropy(self):
-        """S(rho) in bits from the kept spectrum; equals von_neumann_entropy(rho)."""
+        """S(rho) in bits from the kept spectrum.
+
+        It equals von_neumann_entropy(rho) bit for bit, except for a dephased
+        state, whose spectrum comes from its blocks: there the two agree
+        within round-off.
+        """
         return np.maximum(spectrum_entropy(self.spectrum), 0.0)
 
 
@@ -104,8 +121,10 @@ class BipartiteState(_ValidatedDensity):
     rho: np.ndarray
     dim_a: int
     dim_b: int
+    _: KW_ONLY
+    _spectrum: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _spectrum):
         rho = np.array(self.rho, dtype=complex)
         if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
             raise DimensionMismatch(f"state matrix shape {rho.shape} not square")
@@ -115,7 +134,7 @@ class BipartiteState(_ValidatedDensity):
             raise DimensionMismatch(
                 f"matrix dimension {rho.shape[-1]} != {self.dim_a}*{self.dim_b}"
             )
-        self._validate(rho)
+        self._validate(rho, _spectrum)
 
     def __len__(self) -> int:
         """Number of states in a stack; a single state, like a 0-d array, has no len()."""
@@ -139,8 +158,10 @@ class MultipartiteState(_ValidatedDensity):
 
     rho: np.ndarray
     dims: tuple[int, ...]
+    _: KW_ONLY
+    _spectrum: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _spectrum):
         rho = np.array(self.rho, dtype=complex)
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 for d in dims):
@@ -151,7 +172,7 @@ class MultipartiteState(_ValidatedDensity):
             raise DimensionMismatch(
                 f"matrix dimension {rho.shape[0]} != prod{dims}"
             )
-        self._validate(rho)
+        self._validate(rho, _spectrum)
         object.__setattr__(self, "dims", dims)
 
 
@@ -204,12 +225,24 @@ def ptrace_a(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     return np.einsum("...aiaj->...ij", _split(rho, d_a, d_b))
 
 
+def pairs_a(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """rho regrouped as (..., d_a^2, d_b^2): rows (a, a'), columns (b, b')."""
+    pairs = rho.reshape(rho.shape[:-2] + (d_a, d_b, d_a, d_b)).swapaxes(-3, -2)
+    return pairs.reshape(rho.shape[:-2] + (d_a * d_a, d_b * d_b))
+
+
+def from_pairs_a(pairs: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """The (..., d_a*d_b, d_a*d_b) matrix that ``pairs_a`` regroups as ``pairs``."""
+    out = pairs.reshape(pairs.shape[:-2] + (d_a, d_a, d_b, d_b)).swapaxes(-3, -2)
+    return out.reshape(out.shape[:-4] + (d_a * d_b, d_a * d_b))
+
+
 def superop_a(superop: np.ndarray, rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     """(S (x) id_B)(rho) for a d_a^2 x d_a^2 superoperator S[(a, a'), (c, c')] on A.
 
-    K rho K^dag has S = K (x) conj(K). rho is regrouped as (..., d_a^2, d_b^2),
-    rows (a, a') and columns (b, b'), for one broadcast matmul by S (or a stack
-    of S): one gemm per row, never one wide GEMM, whose BLAS path could differ.
+    K rho K^dag has S = K (x) conj(K). rho is regrouped by ``pairs_a`` for one
+    broadcast matmul by S (or a stack of S): one gemm per row, never one wide
+    GEMM, whose BLAS path could differ.
     """
     d = d_a * d_b
     if superop.shape[-2:] != (d_a * d_a, d_a * d_a) or rho.shape[-2:] != (d, d):
@@ -217,10 +250,7 @@ def superop_a(superop: np.ndarray, rho: np.ndarray, d_a: int, d_b: int) -> np.nd
             f"superoperator {superop.shape[-2:]} and matrix {rho.shape[-2:]} do not "
             f"fit (d_A, d_B) = ({d_a}, {d_b})"
         )
-    pairs = rho.reshape(rho.shape[:-2] + (d_a, d_b, d_a, d_b)).swapaxes(-3, -2)
-    out = superop @ pairs.reshape(rho.shape[:-2] + (d_a * d_a, d_b * d_b))
-    out = out.reshape(out.shape[:-2] + (d_a, d_a, d_b, d_b)).swapaxes(-3, -2)
-    return out.reshape(out.shape[:-4] + (d, d))
+    return from_pairs_a(superop @ pairs_a(rho, d_a, d_b), d_a, d_b)
 
 
 def blocks_a(rho: np.ndarray, d_a: int, d_b: int, basis: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from diagdiscord import channels as ch
 from diagdiscord import discord as dd
 from diagdiscord import states as st
 from diagdiscord.errors import (
@@ -88,6 +89,18 @@ class TestPiA:
             once = dd.pi_a(s).dephased
             twice = dd.pi_a(once).dephased
             assert np.max(np.abs(twice.rho - once.rho)) <= 1e-11
+
+    def test_empty_stack_gives_empty_results(self):
+        empty = st.BipartiteState(np.zeros((0, 4, 4)), 2, 2)
+        res = dd.pi_a(empty)
+        assert res.value.shape == (0,)
+        assert res.dephased.spectrum.shape == (0, 4)
+        assert dd.diagonal_discord(empty).shape == (0,)
+        assert dd.generalized_discord(empty).shape == (0,)
+        assert dd.mutual_information(empty).shape == (0,)
+        assert np.shape(dd.optimized_discord_2q(empty)) == (0,)
+        assert ch.probabilistic_hadamard().apply_local_a(empty).entropy.shape == (0,)
+        assert dd.dephase_a(empty.rho, 2, 2, np.eye(2)).shape == (0, 4, 4)
 
     def test_degenerate_default_raises_with_blocks(self):
         with pytest.raises(DegenerateMarginal) as err:
@@ -317,6 +330,13 @@ class TestPiMulti:
                 nxt += full @ cur @ full
             cur = nxt
         assert np.max(np.abs(got - cur)) <= 1e-12
+
+    def test_output_spectrum_is_the_last_partys_block_spectrum(self):
+        rng = np.random.default_rng(15)
+        s = st.MultipartiteState(random_density(rng, 12), (2, 3, 2))
+        for parties in ([0], [1], [0, 2], [0, 1, 2]):
+            out = dd.pi_multi(s, parties)
+            assert np.max(np.abs(out.spectrum - np.linalg.eigvalsh(out.rho))) <= 1e-14
 
     def test_idempotent_and_marginal_preserving(self):
         rng = np.random.default_rng(14)

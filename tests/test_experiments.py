@@ -8,7 +8,9 @@ from diagdiscord import discord as dd
 from diagdiscord import experiments as ex
 from diagdiscord import linalg as la
 from diagdiscord.errors import DegenerateMarginal, InvalidRank, OutOfDomain, OutOfRange
+from diagdiscord.states import BipartiteState
 from helpers import (
+    random_density,
     reference_mono_max_increase,
     reference_monotonicity,
     reference_xstate_comparison,
@@ -113,6 +115,27 @@ class TestMonotonicity:
             assert rec.summary["degenerate_outputs"] == 0
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    def test_no_full_eigensolve_of_a_dephased_state(self, monkeypatch):
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda m: (sizes.append(np.shape(m)), eigvalsh(m))[1]
+        )
+        rec = ex.run_monotonicity("fig2a", samples=50, seed=23)
+        assert rec.summary["resampled_degenerate"] == 0
+        assert rec.summary["degenerate_outputs"] == 0
+        # the input validation and the channel output; pi_a's two dephased
+        # states take their spectra from their blocks
+        assert [s for s in sizes if s[-2:] == (4, 4)] == [(50, 4, 4), (50, 4, 4)]
+        for d_a, d_b in ((2, 3), (3, 2)):
+            rng = np.random.default_rng([d_a, d_b])
+            states = BipartiteState(
+                np.stack([random_density(rng, d_a * d_b) for _ in range(5)]), d_a, d_b
+            )
+            sizes.clear()
+            dd.pi_a(states)
+            assert not [s for s in sizes if s[-1] == d_a * d_b]
 
     def test_summary_recomputable(self):
         rec = ex.run_monotonicity("fig2a", samples=30, seed=6)

@@ -147,6 +147,81 @@ class TestVonNeumannEntropy:
             la.von_neumann_entropy(np.diag([1.1, -0.1]))
 
 
+def _two_by_two_reference(blocks):
+    """Ascending spectra of Hermitian 2x2 blocks (..., k, 2, 2) in extended precision."""
+    lng = np.longdouble
+    a, d = blocks[..., 0, 0].real.astype(lng), blocks[..., 1, 1].real.astype(lng)
+    b = blocks[..., 0, 1]
+    rad = np.hypot(np.hypot((a - d) / 2, b.real.astype(lng)), b.imag.astype(lng))
+    vals = np.stack([(a + d) / 2 - rad, (a + d) / 2 + rad], axis=-1)
+    return np.sort(vals.reshape(vals.shape[:-2] + (-1,)), axis=-1)
+
+
+class TestBlockSpectrum:
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def _blocks(rng, n, kind, shape=(50, 3)):
+        g = rng.normal(size=shape + (n, n)) + 1j * rng.normal(size=shape + (n, n))
+        if kind == "rank-deficient":
+            g = g[..., :1] @ g[..., :1].conj().swapaxes(-1, -2)
+        elif kind == "b = 0":
+            g = g * np.eye(n)
+        elif kind == "tie":  # a = d and b = 0
+            g = g[..., :1, :1].real * np.eye(n)
+        return (g + g.conj().swapaxes(-1, -2)) / 2.0
+
+    def _check_two_by_two(self, blocks):
+        got = la.block_spectrum(blocks)
+        assert got.shape == blocks.shape[:-3] + (2 * blocks.shape[-3],)
+        assert np.all(np.diff(got, axis=-1) >= 0.0)
+        # the norm of the block-diagonal matrix: its largest block norm
+        norm = np.linalg.norm(blocks, ord=2, axis=(-2, -1)).max(axis=-1)[..., None]
+        assert np.all(np.abs(got - _two_by_two_reference(blocks)) <= 4 * self.EPS * norm)
+        # LAPACK itself is off the extended-precision spectrum by up to about 5 eps |B|
+        want = np.sort(np.linalg.eigvalsh(blocks).reshape(got.shape), axis=-1)
+        assert np.all(np.abs(got - want) <= 8 * self.EPS * norm)
+
+    KINDS = ("random", "rank-deficient", "b = 0", "tie")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    def test_two_by_two_closed_form_matches_eigvalsh(self, kind, scale):
+        rng = np.random.default_rng([2, self.KINDS.index(kind)])
+        self._check_two_by_two(scale * self._blocks(rng, 2, kind))
+
+    def test_negative_zero_entries(self):
+        blocks = np.array([
+            [[-0.0, -0.0 - 0.0j], [-0.0 + 0.0j, -0.0]],
+            [[-0.0, 0.0], [0.0, 0.5]],
+            [[0.5, -0.0j], [0.0j, -0.0]],
+        ], dtype=complex)[None]
+        got = la.block_spectrum(blocks)
+        assert np.array_equal(got, [[0.0, 0.0, 0.0, 0.0, 0.5, 0.5]])
+        self._check_two_by_two(blocks)
+
+    def test_blocks_are_symmetrized_first(self):
+        rng = np.random.default_rng(3)
+        herm = self._blocks(rng, 2, "random")
+        skew = rng.normal(size=herm.shape) * 1e-3j
+        skew = skew + skew.swapaxes(-1, -2)  # anti-Hermitian: dropped by (B + B^dag)/2
+        assert np.array_equal(la.block_spectrum(herm + skew), la.block_spectrum(herm))
+
+    def test_one_by_one_blocks_give_the_sorted_diagonal(self):
+        blocks = self._blocks(np.random.default_rng(4), 1, "random")
+        got = la.block_spectrum(blocks)
+        assert np.array_equal(got, np.sort(blocks[..., 0, 0].real, axis=-1))
+
+    @pytest.mark.parametrize("kind", ["random", "rank-deficient"])
+    def test_larger_blocks_go_to_eigvalsh(self, kind):
+        blocks = self._blocks(np.random.default_rng(5), 3, kind)
+        got = la.block_spectrum(blocks)
+        assert np.array_equal(got, np.sort(np.linalg.eigvalsh(blocks).reshape(50, 9), axis=-1))
+
+    def test_empty_stack(self):
+        assert la.block_spectrum(np.zeros((0, 2, 2, 2), dtype=complex)).shape == (0, 4)
+
+
 class TestRelativeEntropy:
     def test_identical_arguments(self):
         rng = np.random.default_rng(3)

@@ -73,8 +73,13 @@ def test_kept_spectrum_entropy_is_von_neumann_entropy(seed, dims, full_rank):
     if len(dims) == 2:
         bi = st.BipartiteState(multi.rho, *dims)
         assert bi.entropy == von_neumann_entropy(bi.rho)
-        dephased = dd.pi_a(bi).dephased
-        assert dephased.entropy == von_neumann_entropy(dephased.rho)
+        res = dd.pi_a(bi)
+        dephased = res.dephased
+        # the dephased spectrum comes from the conditional blocks, not an eigvalsh
+        blocks = dd.dephase_blocks_a(bi.rho, *dims, res.basis_used)[1]
+        assert np.array_equal(dephased.spectrum, la.block_spectrum(blocks))
+        assert np.max(np.abs(dephased.spectrum - np.linalg.eigvalsh(dephased.rho))) <= 1e-14
+        assert abs(dephased.entropy - von_neumann_entropy(dephased.rho)) <= 1e-12
 
 
 @SETTINGS

@@ -51,6 +51,25 @@ class TestBipartiteState:
         with pytest.raises(NotDensityMatrix):
             st.BipartiteState(np.diag([0.6, 0.6, -0.1, -0.1]), 2, 2)
 
+    def test_a_handed_in_spectrum_is_still_checked(self):
+        # the dephasing maps hand in their block spectrum; every check but the eigensolve runs
+        rho = np.eye(4) / 4
+        with pytest.raises(NotDensityMatrix, match="negative eigenvalue"):
+            st.BipartiteState(rho, 2, 2, _spectrum=np.array([-0.1, 0.3, 0.4, 0.4]))
+        with pytest.raises(NotDensityMatrix, match="trace"):
+            st.BipartiteState(rho, 2, 2, _spectrum=np.full(4, 0.3))
+        with pytest.raises(NotDensityMatrix, match="trace"):
+            st.MultipartiteState(rho, (2, 2), _spectrum=np.full(4, 0.3))
+        m = rho.astype(complex)
+        m[0, 1] = 0.5
+        with pytest.raises(NotDensityMatrix, match="not Hermitian"):
+            st.BipartiteState(m, 2, 2, _spectrum=np.full(4, 0.25))
+        with pytest.raises(DimensionMismatch):
+            st.BipartiteState(rho, 2, 2, _spectrum=np.full(3, 1 / 3))
+        kept = st.BipartiteState(rho, 2, 2, _spectrum=np.full(4, 0.25))
+        assert np.array_equal(kept.spectrum, np.full(4, 0.25))
+        assert not kept.spectrum.flags.writeable
+
 
 class TestPartialTrace:
     def test_product_state_returns_left_factor(self):
