@@ -106,20 +106,61 @@ def _degenerate_blocks(vals: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(blocks)
 
 
+def _eigvals_2x2(a, d, b_abs):
+    """(h, rad, vals) of Hermitian [[a, b], [b*, d]]: the package's one 2x2 eigenvalue formula.
+
+    h = (a - d)/2, rad = hypot(h, |b|), and the ascending eigenvalues
+    (a + d)/2 -+ rad lie within about 1.5 eps |B| of the exact ones (eigvalsh:
+    about 5 eps |B|). With b = 0 they are the diagonal itself, as in LAPACK.
+    """
+    h = (a - d) / 2.0
+    rad = np.hypot(h, b_abs)
+    mean = (a + d) / 2.0
+    diag = b_abs == 0.0
+    lo = np.where(diag, np.minimum(a, d), mean - rad)
+    hi = np.where(diag, np.maximum(a, d), mean + rad)
+    return h, rad, np.stack([lo, hi], axis=-1)
+
+
+def _eig_2x2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of Hermitian 2x2 matrices (..., 2, 2), with no LAPACK call.
+
+    Like LAPACK it reads the lower triangle, b = conj(m[1, 0]). Each vector
+    is taken from the row of M - lambda I that has no cancellation: with
+    g = rad + |h| they are (b, -g) and (g, b*) when h > 0, else (-g, b*)
+    and (b, g), over hypot(|b|, g). Both columns are then exactly
+    orthogonal; a = d with b = 0 gives the identity.
+    """
+    b = m[..., 1, 0].conj()
+    b_abs = np.abs(b)
+    h, rad, vals = _eigvals_2x2(m[..., 0, 0].real, m[..., 1, 1].real, b_abs)
+    g = rad + np.abs(h)
+    g = np.where(g > 0.0, g, 1.0)  # a = d and b = 0
+    up = h > 0.0
+    lo = np.stack([np.where(up, b, -g), np.where(up, -g, b.conj())], axis=-1)
+    hi = np.stack([np.where(up, g, b), np.where(up, b.conj(), g)], axis=-1)
+    return vals, np.stack([lo, hi], axis=-1) / np.hypot(b_abs, g)[..., None, None]
+
+
 def hermitian_eig(m) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix (..., d, d) with a fixed phase convention.
 
     Each eigenvector is rescaled so that its largest-magnitude entry is real
     and positive, which makes the output deterministic for identical input
-    bits (up to the underlying LAPACK determinism). Every row of a stack
+    bits. 2x2 matrices take the closed form of ``_eig_2x2``: eigenvalues
+    within about 1.5 eps |M| of the exact ones and V diag(vals) V^dag within
+    a few eps |M| of M; larger ones go to LAPACK's eigh. Every row of a stack
     equals the decomposition of that matrix alone, bit for bit.
     """
     m = np.asarray(m, dtype=complex)
     _check_hermitian(m, "matrix", NotHermitian)
-    try:
-        vals, vecs = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+    if m.shape[-1] == 2:
+        vals, vecs = _eig_2x2(m)
+    else:
+        try:
+            vals, vecs = np.linalg.eigh(m)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(str(exc)) from exc
     pivot_row = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
     pivot = np.take_along_axis(vecs, pivot_row, axis=-2)
     # hypot, not np.abs: it rounds as the scalar abs() of a complex does
@@ -181,12 +222,10 @@ def density_eigenvalues(rho, what: str = "state") -> np.ndarray:
 def block_spectrum(blocks: np.ndarray) -> np.ndarray:
     """Ascending union of the spectra of Hermitian blocks (..., k, n, n), shape (..., k n).
 
-    The blocks are symmetrized first. n = 1 takes the real diagonal, and
-    n = 2 the closed form (a + d)/2 -+ hypot((a - d)/2, |b|) with no LAPACK
-    call (within about 1.5 eps |B| of the exact spectrum, where eigvalsh
-    comes within about 5 eps |B|); larger blocks go to ``eigvalsh``. A
-    block-diagonal matrix has this spectrum: that of a dephased state is
-    taken from its conditional blocks.
+    The blocks are symmetrized first. n = 1 takes the real diagonal, n = 2
+    the closed form of ``_eigvals_2x2`` with no LAPACK call, and larger
+    blocks ``eigvalsh``. A block-diagonal matrix has this spectrum: that of
+    a dephased state is taken from its conditional blocks.
     """
     blocks = (blocks + blocks.conj().swapaxes(-1, -2)) / 2.0
     n = blocks.shape[-1]
@@ -194,9 +233,7 @@ def block_spectrum(blocks: np.ndarray) -> np.ndarray:
         vals = blocks[..., 0].real
     elif n == 2:
         a, d = blocks[..., 0, 0].real, blocks[..., 1, 1].real
-        mean = (a + d) / 2.0
-        rad = np.hypot((a - d) / 2.0, np.abs(blocks[..., 0, 1]))
-        vals = np.stack([mean - rad, mean + rad], axis=-1)
+        vals = _eigvals_2x2(a, d, np.abs(blocks[..., 0, 1]))[2]
     else:
         vals = np.linalg.eigvalsh(blocks)
     return np.sort(vals.reshape(vals.shape[:-2] + (vals.shape[-2] * n,)), axis=-1)

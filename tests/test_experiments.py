@@ -137,6 +137,24 @@ class TestMonotonicity:
             dd.pi_a(states)
             assert not [s for s in sizes if s[-1] == d_a * d_b]
 
+    def test_qubit_marginals_take_no_lapack_eigh(self, monkeypatch):
+        # hermitian_eig takes every 2x2 marginal in closed form
+        sizes = {"eigh": [], "eigvalsh": []}
+        for name, seen in sizes.items():
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg,
+                name,
+                lambda m, *a, solver=solver, seen=seen, **k: (
+                    seen.append(np.shape(m)), solver(m, *a, **k)
+                )[1],
+            )
+        ex.run_monotonicity("fig2a", samples=50, seed=23)
+        assert sizes["eigh"] == []
+        assert [s for s in sizes["eigvalsh"] if s[-2:] == (4, 4)] == [(50, 4, 4), (50, 4, 4)]
+        ex.run_xstate_comparison(samples=20, seed=7)
+        assert sizes["eigh"] == []
+
     def test_summary_recomputable(self):
         rec = ex.run_monotonicity("fig2a", samples=30, seed=6)
         derived = ex.recompute_row_summary(rec)

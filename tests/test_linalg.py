@@ -12,9 +12,10 @@ from diagdiscord.errors import (
     OutOfRange,
     SupportViolation,
 )
-from helpers import random_density, random_hermitian
+from helpers import random_density, random_hermitian, reference_hermitian_eig
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+EPS = np.finfo(float).eps
 
 
 class TestHermitianEig:
@@ -53,7 +54,9 @@ class TestHermitianEig:
 
     def test_phase_convention_equals_the_column_loop(self):
         # the vectorized phase convention, on one matrix and on a stack,
-        # rescales each column exactly as a loop over the columns does
+        # rescales each column exactly as a loop over the columns does; 2x2
+        # matrices take the closed form, not LAPACK, so their columns match
+        # LAPACK's phase-fixed ones to round-off
         rng = np.random.default_rng(12)
         for d in range(1, 9):
             stack = np.stack([random_hermitian(rng, d) for _ in range(5)])
@@ -65,6 +68,10 @@ class TestHermitianEig:
                     pivot = col[int(np.argmax(np.abs(col)))]
                     if abs(pivot) > 0.0:
                         expected[:, k] = col * (pivot.conjugate() / abs(pivot))
+                if d == 2:
+                    assert np.array_equal(la.hermitian_eig(m).eigenvectors, vecs)
+                    assert np.abs(vecs - expected).max() <= 4 * EPS
+                    continue
                 assert np.array_equal(vecs, expected)
                 assert np.array_equal(la.hermitian_eig(m).eigenvectors, expected)
 
@@ -107,6 +114,124 @@ class TestHermitianEig:
     def test_min_gap_smallest_consecutive_difference(self):
         dec = la.hermitian_eig(np.diag([0.1, 0.4, 0.45]).astype(complex))
         assert dec.min_gap == pytest.approx(0.05)
+
+
+class TestTwoByTwoEig:
+    """hermitian_eig's closed form for 2x2 matrices, against LAPACK and the column loop."""
+
+    @staticmethod
+    def _check(stack):
+        """Check each row of a (..., 2, 2) stack against reference_hermitian_eig."""
+        dec = la.hermitian_eig(stack)
+        assert dec.eigenvalues.shape == stack.shape[:-1]
+        assert dec.eigenvectors.shape == stack.shape
+        for idx in np.ndindex(stack.shape[:-2]):
+            m, row = stack[idx], dec[idx]
+            vals, v = row.eigenvalues, row.eigenvectors
+            alone = la.hermitian_eig(m)
+            assert np.array_equal(alone.eigenvalues, vals)
+            assert np.array_equal(alone.eigenvectors, v)
+            ref_vals, ref_vecs = reference_hermitian_eig(m)
+            norm = np.linalg.norm(m, 2)
+            assert vals[0] <= vals[1]
+            assert np.abs(vals - ref_vals).max() <= 8 * EPS * norm
+            assert np.abs((v * vals) @ v.conj().T - m).max() <= 1e-15 * norm
+            assert np.abs(v.conj().T @ v - np.eye(2)).max() <= 1e-15
+            for k in range(2):
+                pivot = v[int(np.argmax(np.abs(v[:, k]))), k]
+                assert abs(pivot.imag) <= EPS and pivot.real > 0.0
+            gap = ref_vals[1] - ref_vals[0]
+            assert row.degenerate == (gap < la.DEGENERACY_TOL)
+            assert row.degenerate_blocks == (((0, 2),) if row.degenerate else ())
+            if gap > 0.0:
+                # eigenvectors are only defined to about eps |M| / gap
+                proj = np.einsum("ik,jk->kij", v, v.conj())
+                ref_proj = np.einsum("ik,jk->kij", ref_vecs, ref_vecs.conj())
+                assert np.abs(proj - ref_proj).max() <= 16 * EPS * norm / gap
+        return dec
+
+    @pytest.mark.parametrize("kind", ["random", "rank-1"])
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    def test_random_and_rank_one(self, kind, scale):
+        rng = np.random.default_rng([21, int(kind == "rank-1")])
+        if kind == "random":
+            stack = np.stack([random_hermitian(rng, 2) for _ in range(200)])
+        else:
+            v = rng.normal(size=(200, 2, 1)) + 1j * rng.normal(size=(200, 2, 1))
+            stack = v @ v.conj().swapaxes(-1, -2)
+        self._check(scale * stack.reshape(4, 50, 2, 2))
+
+    @pytest.mark.parametrize("diag", [(0.2, 0.8), (1.0, 1e-20), (-3.0, 5.0)])
+    def test_diagonal_matrices_in_both_orders(self, diag):
+        for a, d in (diag, diag[::-1]):
+            dec = self._check(np.diag([a, d]).astype(complex))
+            assert np.array_equal(dec.eigenvalues, sorted(diag))
+            unit = np.eye(2) if a < d else np.eye(2)[::-1]
+            assert np.array_equal(dec.eigenvectors, unit)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.0, -2.0])
+    def test_equal_diagonal_and_zero_off_diagonal(self, alpha):
+        dec = self._check(alpha * np.eye(2, dtype=complex))
+        assert np.array_equal(dec.eigenvalues, [alpha, alpha])
+        assert np.array_equal(dec.eigenvectors, np.eye(2))
+        assert dec.min_gap == 0.0 and dec.degenerate
+        assert dec.degenerate_blocks == ((0, 2),)
+
+    def test_purely_imaginary_off_diagonal(self):
+        dec = self._check(np.array([
+            [[0.3, 0.2j], [-0.2j, 0.7]],
+            [[0.7, -0.2j], [0.2j, 0.3]],
+            [[0.5, 0.5j], [-0.5j, 0.5]],
+        ]))
+        assert np.allclose(dec.eigenvalues[2], [0.0, 1.0], rtol=0.0, atol=EPS)
+
+    def test_negative_zero_entries(self):
+        dec = self._check(np.array([
+            [[-0.0, -0.0 - 0.0j], [-0.0 + 0.0j, -0.0]],
+            [[-0.0, 0.0], [0.0, 0.5]],
+            [[0.5, -0.0j], [0.0j, -0.0]],
+        ], dtype=complex))
+        assert np.array_equal(dec.eigenvalues, [[0.0, 0.0], [0.0, 0.5], [0.0, 0.5]])
+        assert np.array_equal(dec.eigenvectors, [np.eye(2), np.eye(2), np.eye(2)[::-1]])
+
+    def test_largest_finite_scale(self):
+        m = np.array([[1e300, 1e300], [1e300, 1e300]], dtype=complex)
+        dec = self._check(m)
+        assert np.array_equal(dec.eigenvalues, [0.0, 2 * 1e300])
+        # LAPACK lands one ulp below 2e300
+        ref = reference_hermitian_eig(m)[0]
+        assert np.allclose(ref, [0.0, 2 * 1e300], rtol=2 * EPS, atol=0.0)
+
+    @pytest.mark.parametrize("factor", [1.0 - 1e-4, 1.0 + 1e-4])
+    def test_gaps_around_the_degeneracy_tolerance(self, factor):
+        rng = np.random.default_rng(22)
+        gap = factor * la.DEGENERACY_TOL
+        u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        m = (u * [0.5 - gap / 2, 0.5 + gap / 2]) @ u.conj().T
+        dec = self._check((m + m.conj().T) / 2.0)
+        assert abs(dec.min_gap - gap) <= 4 * EPS
+        assert dec.degenerate == (factor < 1.0)
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0)])
+    def test_empty_stacks(self, shape):
+        dec = la.hermitian_eig(np.zeros(shape + (2, 2), dtype=complex))
+        assert dec.eigenvalues.shape == shape + (2,)
+        assert dec.eigenvectors.shape == shape + (2, 2)
+        assert dec.min_gap.shape == dec.degenerate.shape == dec.degenerate_blocks.shape == shape
+
+    @pytest.mark.parametrize("entry, message", [
+        ((0, 0, np.nan), "has non-finite entries"),
+        ((0, 1, np.inf), "has non-finite entries"),
+        ((0, 1, 1e-3), "not Hermitian"),
+    ])
+    def test_bad_input_names_the_row(self, entry, message):
+        stack = np.tile(np.eye(2, dtype=complex) / 2, (2, 3, 1, 1))
+        i, j, value = entry
+        stack[1, 2, i, j] = value
+        with pytest.raises(NotHermitian, match=f"matrix row 1, 2 {message}"):
+            la.hermitian_eig(stack)
+        with pytest.raises(NotHermitian, match=f"^matrix {message}"):
+            la.hermitian_eig(stack[1, 2])
 
 
 class TestVonNeumannEntropy:
