@@ -336,14 +336,16 @@ _THETA, _PHI = (g.reshape(64, 32) for g in _angle_grid(64, 32))
 #: rows (32,): direction (theta_i, phi_j) is row 32 i + j of _HALF_GRID
 _SIN_T, _COS_T = np.sin(_THETA[:32, :1]), np.cos(_THETA[:32, :1])
 _SIN_P, _COS_P = np.sin(_PHI[0]), np.cos(_PHI[0])
-#: states evaluated on the half grid at once; (16, 1024) temporaries stay in cache
+_SIN2_T, _SINCOS_T = _SIN_T**2, _SIN_T * _COS_T
+#: states evaluated on the half grid at once; the nine (16, 32, 32) buffers stay in cache
 _GRID_CHUNK = 16
 # glibc raises its mmap threshold to the largest mmapped block freed so far.
 # Freeing this 2 MiB one keeps arrays of 128 KiB (the default) to 2 MiB on the heap,
-# mapped across calls: the grid's chunk temporaries, the X-state sampler's candidate
-# buffer (1.2 MB for 300 samples) and every workload's stacks, such as monotonicity's
-# 600 x 4x4 complex ones. Else they fault in again: 6 400 minor faults against 23 in
-# 15 xstate rounds of 300 states, 9 000 against 0 in 8 monotonicity rounds of 3 x 600.
+# mapped across calls, such as monotonicity's 600 x 4x4 complex stacks. Else they
+# fault in again: 18 700 minor faults against 38 in 8 monotonicity rounds of 3 x 600
+# (getrusage in-process). xstate does not depend on it, since the grid writes into
+# buffers made once per call: 15 rounds of 300 states take about 65 minor faults
+# with or without it.
 np.empty(1 << 18)
 #: I, sigma_x, sigma_y, sigma_z
 _PAULI = np.array(
@@ -351,6 +353,9 @@ _PAULI = np.array(
 )
 #: a Newton step stops a state once its tangent gradient is this small
 _NEWTON_GTOL = 1e-13
+#: a convex Newton step stops a state once its model decrease is at most this
+#: many ulps of max(|f|, 1): round-off in f would swamp anything it could gain
+_ROUNDOFF = 4.0 * np.finfo(float).eps
 _NEWTON_MAX_STEPS = 50
 _BACKTRACK_HALVINGS = 40
 
@@ -401,7 +406,8 @@ def _grid_minimizers(a, b, t) -> np.ndarray:
     with A = a_x cos ph + a_y sin ph, 2 n.(Tb) alike, and n^T M n = sin^2 th P
     + 2 sin th cos th Q + cos^2 th M_zz with P = M_xx cos^2 ph + 2 M_xy cos ph
     sin ph + M_yy sin^2 ph and Q = M_xz cos ph + M_yz sin ph. The stack is
-    evaluated _GRID_CHUNK states at a time. Every product and sum is
+    evaluated _GRID_CHUNK states at a time, each chunk written by ``out=``
+    ufuncs into buffers made once per call. Every product and sum is
     elementwise, with no BLAS, so a row's bits depend neither on the stack
     nor on its chunk.
     """
@@ -418,15 +424,23 @@ def _grid_minimizers(a, b, t) -> np.ndarray:
     u_theta, s_theta = _COS_T * a[..., 2], _COS_T * tb[..., 2]
     r_theta = _COS_T**2 * m[..., 2, 2] + bb[:, None, None]
     best = np.empty(len(a), dtype=np.intp)
+    bufs = np.empty((9, min(len(a), _GRID_CHUNK), 32, 32))
     for start in range(0, len(a), _GRID_CHUNK):
         chunk = slice(start, start + _GRID_CHUNK)
-        u = _SIN_T * u_phi[chunk] + u_theta[chunk]
-        s = _SIN_T * s_phi[chunk] + s_theta[chunk]
-        rr = _SIN_T**2 * p_phi[chunk] + (_SIN_T * _COS_T) * q_phi[chunk] + r_theta[chunk]
-        g = np.zeros_like(u)
-        for q, r2 in ((1.0 + u, rr + s), (1.0 - u, rr - s)):
-            r = np.sqrt(np.maximum(r2, 0.0))
-            g += xlogx(0.5 * q) - xlogx(0.25 * (q + r)) - xlogx(0.25 * (q - r))
+        u, s, rr, q, r, x, h, term, g = bufs[:, : min(_GRID_CHUNK, len(a) - start)]
+        np.add(np.multiply(_SIN_T, u_phi[chunk], out=u), u_theta[chunk], out=u)
+        np.add(np.multiply(_SIN_T, s_phi[chunk], out=s), s_theta[chunk], out=s)
+        np.multiply(_SIN2_T, p_phi[chunk], out=rr)
+        rr += np.multiply(_SINCOS_T, q_phi[chunk], out=x)
+        rr += r_theta[chunk]
+        g.fill(0.0)
+        for plus_minus in (np.add, np.subtract):
+            plus_minus(1.0, u, out=q)
+            np.sqrt(np.maximum(plus_minus(rr, s, out=r), 0.0, out=r), out=r)
+            xlogx(np.multiply(0.5, q, out=x), out=term)
+            term -= xlogx(np.multiply(0.25, np.add(q, r, out=x), out=x), out=h)
+            term -= xlogx(np.multiply(0.25, np.subtract(q, r, out=x), out=x), out=h)
+            g += term
         best[chunk] = np.argmin(g.reshape(len(g), -1), axis=-1)
     return _HALF_GRID[best]
 
@@ -474,8 +488,11 @@ def _newton_refine(n, f, a, b, t):
     Each step solves the 2x2 tangent Newton system (the gradient step where
     the tangent Hessian is not positive definite), retracts by normalizing,
     and halves the step until the objective strictly decreases. A state
-    stops once its tangent gradient is below _NEWTON_GTOL or no halving
-    decreases it.
+    stops once its tangent gradient is below _NEWTON_GTOL, no halving
+    decreases it, or its step is the convex Newton step d and the model
+    decrease -g.d/2 is at most _ROUNDOFF max(|f|, 1). That last stop is at
+    round-off: further steps could only move f in its last bits, and a state
+    there can take up to 40 halvings in each of 50 steps.
     """
     n, f = n.copy(), f.copy()
     active = np.arange(len(n))
@@ -497,6 +514,9 @@ def _newton_refine(n, f, a, b, t):
              h[:, 0, 0] * g[:, 1] - h[:, 1, 0] * g[:, 0]],
             axis=-1,
         ) / dsafe[:, None]
+        # -g.d/2 is what the convex Newton step d gains on the quadratic model
+        gain = -0.5 * np.einsum("kp,kp->k", g, newton)
+        moving &= ~convex | (gain > _ROUNDOFF * np.maximum(np.abs(f[active]), 1.0))
         step = np.einsum("kp,kpi->ki", np.where(convex[:, None], newton, -g), e)
         active, x, step = active[moving], x[moving], step[moving]
         improved = np.zeros(len(active), dtype=bool)
@@ -530,7 +550,9 @@ def optimized_discord_2q(
     theta <= pi/2 half of a 64x32 (theta, phi) direction grid by a closed
     form in the grid monomials (``_grid_minimizers``); each state's best
     grid point is scored by ``_objective`` and then all are refined at once
-    by projected Newton with the analytic gradient and Hessian. The value is
+    by projected Newton with the analytic gradient and Hessian, which stops
+    a state once a convex Newton step can gain only round-off in the
+    objective (``_newton_refine``). The value is
     the least of the grid point, the Newton point and the marginal
     eigenbasis n_e = v^dag sigma v, so it never exceeds the grid value, nor
     the diagonal discord beyond rounding (the two evaluate the eigenbasis by

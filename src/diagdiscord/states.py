@@ -350,11 +350,12 @@ def sample_x_params(rng, return_attempts: bool = False):
     generators, which gives an (N, 4) array of (r6, r8, r9, r15) rows, row i
     being what generator i gives alone. Each sample still open draws a block
     of candidate 4-vectors, and the blocks of all open samples are tested at
-    once. Once a sample's block holds an accepted row j, its generator is set
-    back to its state on entry and advanced past the candidates up to row j,
-    4 draws each, so the result, the attempt count and the generator's final
-    state are those of drawing one candidate at a time (except that
-    ``advance`` drops a buffered 32-bit half-draw, which no caller leaves).
+    once. Once a sample's block holds an accepted row j, its generator is
+    stepped back by a negative ``advance`` (PCG64 steps mod 2^128) to just
+    past row j, 4 draws each, so the result, the attempt count and the
+    generator's final state are those of drawing one candidate at a time
+    (except that ``advance`` drops a buffered 32-bit half-draw, which no
+    caller leaves).
     """
     single = isinstance(rng, np.random.Generator)
     rngs = [rng] if single else list(rng)
@@ -370,7 +371,6 @@ def sample_x_params(rng, return_attempts: bool = False):
 
 def _sample_x_stack(rngs, params: np.ndarray, attempts: np.ndarray) -> None:
     """sample_x_params on a stack of generators, written into params and attempts."""
-    starts = [rng.bit_generator.state for rng in rngs]
     open_rows = np.arange(len(rngs))
     buffer = np.empty(len(rngs) * _X_PARAMS_BLOCK * 4)
     tried = 0
@@ -389,8 +389,8 @@ def _sample_x_stack(rngs, params: np.ndarray, attempts: np.ndarray) -> None:
             i = open_rows[k]
             params[i] = candidates[k, first[k]]
             attempts[i] = tried + first[k] + 1
-            rngs[i].bit_generator.state = starts[i]
-            rngs[i].bit_generator.advance(4 * int(attempts[i]))
+            # back from the block's end to just past row first[k]
+            rngs[i].bit_generator.advance(4 * (int(first[k]) + 1 - n))
         open_rows = open_rows[~hit]
         if not len(open_rows):
             return

@@ -227,6 +227,67 @@ def reference_grid_values(a, b, t):
     return values, grid
 
 
+def reference_newton_refine(n, f, a, b, t):
+    """Projected Newton on the unit sphere from n, for every state at once.
+
+    Each step solves the 2x2 tangent Newton system (the gradient step where
+    the tangent Hessian is not positive definite), retracts by normalizing,
+    and halves the step until the objective strictly decreases. A state
+    stops once its tangent gradient is below _NEWTON_GTOL or no halving
+    decreases it.
+
+    A verbatim copy of the refiner before it stopped at round-off: it keeps
+    stepping while any halving lowers the objective by a last bit.
+    """
+    from diagdiscord.discord import (
+        _BACKTRACK_HALVINGS,
+        _NEWTON_GTOL,
+        _NEWTON_MAX_STEPS,
+        _gradient_hessian,
+        _objective,
+        _tangent_basis,
+    )
+
+    n, f = n.copy(), f.copy()
+    active = np.arange(len(n))
+    for _ in range(_NEWTON_MAX_STEPS):
+        if not len(active):
+            break
+        x = n[active]
+        grad, hess = _gradient_hessian(x, a[active], b[active], t[active])
+        e = _tangent_basis(x)
+        g = np.einsum("kpi,ki->kp", e, grad)
+        h = np.einsum("kpi,kij,kqj->kpq", e, hess, e)
+        h -= np.einsum("ki,ki->k", x, grad)[:, None, None] * np.eye(2)
+        moving = np.linalg.norm(g, axis=-1) >= _NEWTON_GTOL
+        det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
+        convex = (h[:, 0, 0] > 0.0) & (det > 0.0)
+        dsafe = np.where(convex, det, 1.0)
+        newton = -np.stack(
+            [h[:, 1, 1] * g[:, 0] - h[:, 0, 1] * g[:, 1],
+             h[:, 0, 0] * g[:, 1] - h[:, 1, 0] * g[:, 0]],
+            axis=-1,
+        ) / dsafe[:, None]
+        step = np.einsum("kp,kpi->ki", np.where(convex[:, None], newton, -g), e)
+        active, x, step = active[moving], x[moving], step[moving]
+        improved = np.zeros(len(active), dtype=bool)
+        scale = 1.0
+        for _ in range(_BACKTRACK_HALVINGS):
+            todo = ~improved
+            if not todo.any():
+                break
+            idx = active[todo]
+            trial = x[todo] + scale * step[todo]
+            trial /= np.linalg.norm(trial, axis=-1, keepdims=True)
+            ft = _objective(trial, a[idx], b[idx], t[idx])
+            better = ft < f[idx]
+            n[idx[better]], f[idx[better]] = trial[better], ft[better]
+            improved[np.flatnonzero(todo)[better]] = True
+            scale /= 2.0
+        active = active[improved]
+    return n, f
+
+
 def reference_optimized_discord_2q(state):
     """Two-qubit Ollivier-Zurek discord on A by a (theta, phi) grid and Nelder-Mead.
 

@@ -272,6 +272,53 @@ class TestVonNeumannEntropy:
             la.von_neumann_entropy(np.diag([1.1, -0.1]))
 
 
+def _masked_xlogx(x):
+    """x ln x with the mask on every entry: the form xlogx must equal bit for bit."""
+    with np.errstate(invalid="ignore"):  # -inf * 0
+        return x * np.log(np.where(x > 0, x, 1))
+
+
+class TestXlogx:
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array([0.3, 1.0, 2.5, 1e-300]),
+            np.array([5e-324, 2.2e-308, 0.7]),  # subnormal entries
+            np.array([0.0, -0.0, -1.5, 0.2, -5e-324]),
+            np.array([np.nan, 0.5]),
+            np.array([np.inf, 0.5]),
+            np.array([-np.inf, 0.5]),
+            np.array([np.nan, np.inf, -np.inf, 0.0]),
+            np.random.default_rng(3).random((3, 4, 5)),
+            np.array(0.7),
+            np.array(0.0),
+            np.array(-2.0),
+            np.array(np.nan),
+            0.7,
+            0.0,
+            -0.0,
+            -3.0,
+            np.array([]),
+            np.zeros((0, 3)),
+        ],
+        ids=lambda x: repr(x).replace(" ", ""),
+    )
+    def test_equals_the_masked_form_bit_for_bit(self, x):
+        # filterwarnings = error turns any warning of xlogx into a failure
+        got, want = la.xlogx(x), _masked_xlogx(x)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("fill", [0.25, 0.0], ids=["positive", "with-zero"])
+    def test_out_receives_the_result(self, fill):
+        x = np.random.default_rng(4).random((4, 8))
+        x[1, 2] = fill
+        out = np.full_like(x, np.nan)
+        assert la.xlogx(x, out=out) is out
+        assert out.tobytes() == _masked_xlogx(x).tobytes()
+
+
 def _two_by_two_reference(blocks):
     """Ascending spectra of Hermitian 2x2 blocks (..., k, 2, 2) in extended precision."""
     lng = np.longdouble
