@@ -10,6 +10,7 @@ argument out of range, 4 invariant violation, 5 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -296,7 +297,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once: parsing leaves it unchanged, and commands read DD_SEED."""
     parser = _ArgumentParser(
         prog="diagdiscord",
         description="Diagonal quantum discord calculator and experiment runner",
@@ -315,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--parties", default="", help="comma-separated party indices for multi mode"
     )
     p_disc.add_argument("--optimize-degenerate", action="store_true")
-    p_disc.set_defaults(fn=_cmd_discord)
 
     p_exp = sub.add_parser("experiment", help="run a reproduction experiment")
     p_exp.add_argument(
@@ -333,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--d-a", type=int, default=2)
     p_exp.add_argument("--per-class", type=int, default=4)
     p_exp.add_argument("--trials", type=int, default=40)
-    p_exp.set_defaults(fn=_cmd_experiment)
 
     p_cls = sub.add_parser("classify", help="classify a channel file")
     p_cls.add_argument("channel_file")
@@ -343,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--output-dir", default=".")
     p_cls.add_argument("--tol-commute", type=float, default=ch.COMMUTE_TOL)
     p_cls.add_argument("--tol-violation", type=float, default=ch.VIOLATION_TOL)
-    p_cls.set_defaults(fn=_cmd_classify)
 
     p_smp = sub.add_parser("sample", help="write random state files")
     p_smp.add_argument("what", choices=("xstate", "random"))
@@ -352,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_smp.add_argument("--dims", type=int, nargs=2, default=(2, 2))
     p_smp.add_argument("--rank", type=int, default=None)
     p_smp.add_argument("--output-dir", default=".")
-    p_smp.set_defaults(fn=_cmd_sample)
 
     return parser
 
@@ -360,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        # looked up by name on each call, not bound into the shared parser
+        return globals()[f"_cmd_{args.command}"](args)
     except DegenerateMarginal as exc:
         print(f"degenerate marginal: {exc}", file=sys.stderr)
         if exc.blocks:

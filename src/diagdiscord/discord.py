@@ -337,7 +337,11 @@ _THETA, _PHI = (g.reshape(64, 32) for g in _angle_grid(64, 32))
 _SIN_T, _COS_T = np.sin(_THETA[:32, :1]), np.cos(_THETA[:32, :1])
 _SIN_P, _COS_P = np.sin(_PHI[0]), np.cos(_PHI[0])
 _SIN2_T, _SINCOS_T = _SIN_T**2, _SIN_T * _COS_T
-#: states evaluated on the half grid at once; the nine (16, 32, 32) buffers stay in cache
+#: phi columns of the half grid: all of them, or the phi = 0 and phi = pi/2
+#: meridians, which hold an X-state's least grid direction (``_grid_minimizers``)
+_ALL_PHI, _MERIDIANS = np.arange(32), np.array([0, 8])
+#: states evaluated on the whole half grid at once, and 32 / len(cols) times as
+#: many on fewer phi columns: the nine (16, 32, 32) chunk buffers stay in cache
 _GRID_CHUNK = 16
 # glibc raises its mmap threshold to the largest mmapped block freed so far.
 # Freeing this 2 MiB one keeps arrays of 128 KiB (the default) to 2 MiB on the heap,
@@ -375,6 +379,12 @@ def _bloch_form(rhos: np.ndarray):
     return m[:, 1:, 0], m[:, 0, 1:], m[:, 1:, 1:]
 
 
+def _x_shaped(a, b, t) -> np.ndarray:
+    """Rows whose Bloch form is exactly an X-state's: a, b along z and T diagonal."""
+    off = t.reshape(-1, 9)[:, [1, 2, 3, 5, 6, 7]]
+    return ~(a[:, :2].any(axis=1) | b[:, :2].any(axis=1) | off.any(axis=1))
+
+
 def _conditional_entropy(u: np.ndarray, tn: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_+- [h(lam_+-,+) + h(lam_+-,-) - h(p_+-)] for u = a.n and tn = T^T n.
 
@@ -396,8 +406,8 @@ def _objective(n: np.ndarray, a, b, t) -> np.ndarray:
     )
 
 
-def _grid_minimizers(a, b, t) -> np.ndarray:
-    """Each state's least direction (k, 3) on the half direction grid.
+def _grid_minimizers(a, b, t, cols=_ALL_PHI) -> np.ndarray:
+    """Each state's least direction (k, 3) on the half grid's phi columns ``cols``.
 
     With |b +- T^T n|^2 = |b|^2 +- 2 n.(Tb) + n^T M n, M = T T^T, ln 2 times
     the objective is sum_+- [x ln x (p_+-) - x ln x (lam_+-,+) - x ln x
@@ -406,28 +416,40 @@ def _grid_minimizers(a, b, t) -> np.ndarray:
     with A = a_x cos ph + a_y sin ph, 2 n.(Tb) alike, and n^T M n = sin^2 th P
     + 2 sin th cos th Q + cos^2 th M_zz with P = M_xx cos^2 ph + 2 M_xy cos ph
     sin ph + M_yy sin^2 ph and Q = M_xz cos ph + M_yz sin ph. The stack is
-    evaluated _GRID_CHUNK states at a time, each chunk written by ``out=``
-    ufuncs into buffers made once per call. Every product and sum is
-    elementwise, with no BLAS, so a row's bits depend neither on the stack
-    nor on its chunk.
+    evaluated _GRID_CHUNK * 32 / len(cols) states at a time, each chunk
+    written by ``out=`` ufuncs into buffers made once per call. Every product
+    and sum is elementwise, with no BLAS, so a row's bits depend neither on
+    the stack, nor on its chunk, nor on which other columns are evaluated.
+
+    An X-state needs only the _MERIDIANS columns. Its a and b lie along z and
+    T is diagonal, so at a fixed theta the objective depends on phi only
+    through r_+-^2 = c_+- + t_x^2 n_x^2 + t_y^2 n_y^2, which is linear in
+    cos^2 ph. The objective subtracts each pair x ln x((q + r)/4) + x ln x((q
+    - r)/4), whose derivative in r^2, artanh(r/q) / (4 r), increases with r.
+    So it is concave in cos^2 ph, and its least value on each theta row of the
+    grid lies at ph = 0 or ph = pi/2 (Lu et al., PRA 83, 012327 (2011)): up to
+    rounding, the first least point of the two columns is the whole half
+    grid's.
     """
     tb = t[:, :, 0] * b[:, None, 0] + t[:, :, 1] * b[:, None, 1] + t[:, :, 2] * b[:, None, 2]
     m = t[:, :, None, 0] * t[:, None, :, 0] + t[:, :, None, 1] * t[:, None, :, 1]
     m += t[:, :, None, 2] * t[:, None, :, 2]
     bb = b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1] + b[:, 2] * b[:, 2]
     a, tb, m = a[:, None, None], 2.0 * tb[:, None, None], m[:, None, None]
-    # (N, 1, 32) phi profiles against (32, 1) theta columns
-    u_phi, s_phi = (x[..., 0] * _COS_P + x[..., 1] * _SIN_P for x in (a, tb))
-    p_phi = m[..., 0, 0] * _COS_P**2 + m[..., 0, 1] * (2.0 * _COS_P * _SIN_P)
-    p_phi += m[..., 1, 1] * _SIN_P**2
-    q_phi = m[..., 0, 2] * (2.0 * _COS_P) + m[..., 1, 2] * (2.0 * _SIN_P)
+    # (N, 1, len(cols)) phi profiles against (32, 1) theta columns
+    sin_p, cos_p = _SIN_P[cols], _COS_P[cols]
+    u_phi, s_phi = (x[..., 0] * cos_p + x[..., 1] * sin_p for x in (a, tb))
+    p_phi = m[..., 0, 0] * cos_p**2 + m[..., 0, 1] * (2.0 * cos_p * sin_p)
+    p_phi += m[..., 1, 1] * sin_p**2
+    q_phi = m[..., 0, 2] * (2.0 * cos_p) + m[..., 1, 2] * (2.0 * sin_p)
     u_theta, s_theta = _COS_T * a[..., 2], _COS_T * tb[..., 2]
     r_theta = _COS_T**2 * m[..., 2, 2] + bb[:, None, None]
+    size = _GRID_CHUNK * 32 // len(cols)
     best = np.empty(len(a), dtype=np.intp)
-    bufs = np.empty((9, min(len(a), _GRID_CHUNK), 32, 32))
-    for start in range(0, len(a), _GRID_CHUNK):
-        chunk = slice(start, start + _GRID_CHUNK)
-        u, s, rr, q, r, x, h, term, g = bufs[:, : min(_GRID_CHUNK, len(a) - start)]
+    bufs = np.empty((9, min(len(a), size), 32, len(cols)))
+    for start in range(0, len(a), size):
+        chunk = slice(start, start + size)
+        u, s, rr, q, r, x, h, term, g = bufs[:, : min(size, len(a) - start)]
         np.add(np.multiply(_SIN_T, u_phi[chunk], out=u), u_theta[chunk], out=u)
         np.add(np.multiply(_SIN_T, s_phi[chunk], out=s), s_theta[chunk], out=s)
         np.multiply(_SIN2_T, p_phi[chunk], out=rr)
@@ -442,7 +464,7 @@ def _grid_minimizers(a, b, t) -> np.ndarray:
             term -= xlogx(np.multiply(0.25, np.subtract(q, r, out=x), out=x), out=h)
             g += term
         best[chunk] = np.argmin(g.reshape(len(g), -1), axis=-1)
-    return _HALF_GRID[best]
+    return _HALF_GRID.reshape(32, 32, 3)[:, cols].reshape(-1, 3)[best]
 
 
 def _gradient_hessian(n: np.ndarray, a, b, t):
@@ -548,11 +570,13 @@ def optimized_discord_2q(
     (2008)) it is a smooth function of n (see ``_conditional_entropy``).
     The whole stack is evaluated, _GRID_CHUNK states at a time, on the
     theta <= pi/2 half of a 64x32 (theta, phi) direction grid by a closed
-    form in the grid monomials (``_grid_minimizers``); each state's best
-    grid point is scored by ``_objective`` and then all are refined at once
-    by projected Newton with the analytic gradient and Hessian, which stops
-    a state once a convex Newton step can gain only round-off in the
-    objective (``_newton_refine``). The value is
+    form in the grid monomials (``_grid_minimizers``); an X-state
+    (``_x_shaped``) takes only the phi = 0 and pi/2 meridians, since its
+    objective is concave in cos^2 phi. Each state's best grid point is
+    scored by ``_objective`` and then all are refined at once by projected
+    Newton with the analytic gradient and Hessian, which stops a state once
+    a convex Newton step can gain only round-off in the objective
+    (``_newton_refine``) and keeps an X-state on its meridian. The value is
     the least of the grid point, the Newton point and the marginal
     eigenbasis n_e = v^dag sigma v, so it never exceeds the grid value, nor
     the diagonal discord beyond rounding (the two evaluate the eigenbasis by
@@ -573,7 +597,11 @@ def optimized_discord_2q(
             "optimized_discord_2q requires a stack (N, 4, 4) with d_A = d_B = 2"
         )
     a, b, t = _bloch_form(states.rho)
-    n_grid = _grid_minimizers(a, b, t)
+    n_grid = np.empty_like(a)
+    x_rows = _x_shaped(a, b, t)
+    for rows, cols in ((x_rows, _MERIDIANS), (~x_rows, _ALL_PHI)):
+        if rows.any():
+            n_grid[rows] = _grid_minimizers(a[rows], b[rows], t[rows], cols)
     f_grid = _objective(n_grid, a, b, t)
     n_newton, f_newton = _newton_refine(n_grid, f_grid, a, b, t)
     dec = states.marginal_eig

@@ -551,3 +551,29 @@ def test_importing_the_cli_loads_no_numpy_random():
         check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+def test_shared_parser_gives_what_fresh_processes_give(tmp_path, capsys, monkeypatch):
+    """main builds its parser once per process, and DD_SEED is still read on each call."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    assert cli.build_parser() is cli.build_parser()
+    calls = [
+        (["sample", "xstate", "--count", "2"], "5"),
+        (["experiment", "xstate", "--samples", "20"], "7"),
+    ]
+    for k, (argv, seed) in enumerate(calls):
+        here, fresh = tmp_path / f"here{k}", tmp_path / f"fresh{k}"
+        monkeypatch.setenv("DD_SEED", seed)
+        assert cli.main([*argv, "--output-dir", str(here)]) == 0
+        subprocess.run(
+            [sys.executable, "-m", "diagdiscord.cli", *argv, "--output-dir", str(fresh)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            check=True,
+        )
+        names = sorted(p.name for p in here.iterdir())
+        assert names and names == sorted(p.name for p in fresh.iterdir())
+        for name in names:
+            assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
+    capsys.readouterr()

@@ -495,11 +495,13 @@ class TestGridMinimizers:
             assert np.all(n[:, 2] > 0.0)
             assert all(any((row == g).all() for g in dd._HALF_GRID) for row in n)
 
+    # X-states run 16 times as many rows per chunk on the two meridians: C_x = 16 C
     @pytest.mark.parametrize(
-        "chunks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
-        ids=["1", "C-1", "C", "C+1", "2C+3"],
+        "chunks, extra",
+        [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3), (16, -1), (16, 0), (16, 1)],
+        ids=["1", "C-1", "C", "C+1", "2C+3", "Cx-1", "Cx", "Cx+1"],
     )
-    @pytest.mark.parametrize("x_states", [False, True])
+    @pytest.mark.parametrize("x_states", [False, True, "mixed"])
     def test_rows_across_chunks_equal_single_state_calls(self, chunks, extra, x_states):
         size = chunks * dd._GRID_CHUNK + extra
         rng = np.random.default_rng(33 + size)
@@ -507,6 +509,9 @@ class TestGridMinimizers:
             rhos = st.x_state_matrix([st.sample_x_params(rng).as_row() for _ in range(size)])
         else:
             rhos = np.stack([random_density(rng, 4) for _ in range(size)])
+        if x_states == "mixed":  # X-states at even rows, general states at odd ones
+            for k in range(1, size, 2):
+                rhos[k] = random_density(rng, 4)
         stacked = dd.optimized_discord_2q(st.BipartiteState(rhos, 2, 2))
         assert len(stacked) == size
         for rho, got in zip(rhos, stacked):
@@ -558,6 +563,116 @@ class TestNewtonRefine:
         monkeypatch.setattr(dd, "_objective", counted)
         ex.run_xstate_comparison(300, 1001)
         assert len(calls) <= 8
+
+
+def _x_pool(seed, n):
+    """n seeded X-state matrices, sample i drawn from ``sample_rng(seed, i)``."""
+    return st.x_state_matrix(st.sample_x_params(ex.sample_rngs(seed, range(n))))
+
+
+def _grid_points_per_row(monkeypatch):
+    """Record how many grid points the kernel evaluates for each row it is given."""
+    points = []
+    kernel = dd._grid_minimizers
+
+    def counted(a, b, t, cols=dd._ALL_PHI):
+        points.extend([32 * len(cols)] * len(a))
+        return kernel(a, b, t, cols)
+
+    monkeypatch.setattr(dd, "_grid_minimizers", counted)
+    return points
+
+
+def _no_x_rows(a, b, t):
+    """A structure test that sends every row to the whole 32x32 half grid."""
+    return np.zeros(len(a), dtype=bool)
+
+
+def _result_bytes(results):
+    return np.array([[r.value, r.theta, r.phi] for r in results]).tobytes()
+
+
+class TestXStateMeridians:
+    @pytest.mark.parametrize("seed", [7, 8, 9, 10])
+    def test_meridians_give_the_whole_half_grid_bits(self, seed, monkeypatch):
+        rhos = _x_pool(seed, 5000)
+        a, b, t = dd._bloch_form(rhos)
+        assert dd._x_shaped(a, b, t).all()
+        got = dd._grid_minimizers(a, b, t, dd._MERIDIANS)
+        assert got.tobytes() == dd._grid_minimizers(a, b, t).tobytes()
+        state = st.BipartiteState(rhos, 2, 2)
+        meridians = dd.optimized_discord_2q(state)
+        monkeypatch.setattr(dd, "_x_shaped", _no_x_rows)
+        assert _result_bytes(meridians) == _result_bytes(dd.optimized_discord_2q(state))
+
+    def test_near_x_states_take_the_whole_half_grid(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        x = _x_pool(35, 30)
+        local = np.kron(haar(rng, 2), np.eye(2))
+        perturbed = x.copy()
+        perturbed[:, 0, 1] += 1e-12
+        perturbed[:, 1, 0] += 1e-12
+        perturbed /= np.trace(perturbed, axis1=1, axis2=2)[:, None, None]
+        pauli = dd._PAULI
+
+        def bloch(a, b, t_diag):  # positive while |a|_1 + |b|_1 + |t|_1 < 1
+            terms = [np.kron(pauli[0], pauli[0])]
+            for i in range(3):
+                terms.append(a[i] * np.kron(pauli[i + 1], pauli[0]))
+                terms.append(b[i] * np.kron(pauli[0], pauli[i + 1]))
+                terms.append(t_diag[i] * np.kron(pauli[i + 1], pauli[i + 1]))
+            return sum(terms) / 4.0
+
+        def tilted(side):  # T diagonal, and only a (side 0) or only b (1) off z
+            v = [rng.uniform(-0.15, 0.15, 3) for _ in range(3)]
+            v[1 - side][:2] = 0.0
+            return bloch(*v)
+
+        stacks = {
+            "X under a unitary on A": local @ x @ local.conj().T,
+            "X plus 1e-12 off the X": perturbed,
+            "Ginibre": np.stack([random_density(rng, 4) for _ in range(30)]),
+            "T diagonal, a off z": np.stack([tilted(0) for _ in range(30)]),
+            "T diagonal, b off z": np.stack([tilted(1) for _ in range(30)]),
+        }
+        for kind, rhos in stacks.items():
+            state = st.BipartiteState(rhos, 2, 2)
+            with monkeypatch.context() as m:
+                points = _grid_points_per_row(m)
+                got = dd.optimized_discord_2q(state)
+            assert points == [32 * 32] * len(rhos), kind
+            with monkeypatch.context() as m:
+                m.setattr(dd, "_x_shaped", _no_x_rows)
+                assert _result_bytes(got) == _result_bytes(dd.optimized_discord_2q(state)), kind
+
+    def test_optimum_inside_a_meridian_matches_a_fine_scan(self):
+        # about 1 in 4000 uniform X-states has its least direction off both the
+        # poles and the equator (Lu et al. 2011; Huang, PRA 88, 014302 (2013))
+        rhos = np.concatenate([_x_pool(seed, 15000) for seed in (40, 41)])
+        results = dd.optimized_discord_2q(st.BipartiteState(rhos, 2, 2))
+        theta = np.array([r.theta for r in results])
+        theta = np.minimum(theta, math.pi - theta)
+        inside = np.flatnonzero((theta > 1e-3) & (theta < math.pi / 2 - 1e-3))
+        assert len(inside) >= 5
+        state = st.BipartiteState(rhos[inside], 2, 2)
+        a, b, t = dd._bloch_form(state.rho)
+        base = spectrum_entropy(state.marginal_eig.eigenvalues) - state.entropy
+        th = np.linspace(0.0, math.pi, 4001)
+        sin, cos, zero = np.sin(th), np.cos(th), np.zeros_like(th)
+        xz, yz = np.stack([sin, zero, cos], axis=-1), np.stack([zero, sin, cos], axis=-1)
+        for k, i in enumerate(inside):
+            row = (np.repeat(x[k : k + 1], 2 * len(th), axis=0) for x in (a, b, t))
+            scan = dd._objective(np.concatenate([xz, yz]), *row).reshape(2, -1)
+            least = base[k] + scan.min()
+            rise = np.abs(np.diff(scan, axis=1)).max()
+            assert results[i].value <= least + 1e-12
+            assert results[i].value >= least - rise
+
+    def test_xstate_comparison_takes_only_the_meridian_path(self, monkeypatch):
+        # fails if _bloch_form or x_state_matrix ever stop giving exact zeros
+        points = _grid_points_per_row(monkeypatch)
+        ex.run_xstate_comparison(300, 1001)
+        assert points == [2 * 32] * 300
 
 
 class TestOptimizedDiscord:
