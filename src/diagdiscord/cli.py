@@ -152,6 +152,9 @@ def _cmd_discord(args) -> int:
         if not isinstance(state, MultipartiteState):
             state = MultipartiteState(state.rho, (state.dim_a, state.dim_b))
         parties = [_parse(int, p, "--parties") for p in args.parties.split(",") if args.parties]
+        for p in parties:
+            if not 0 <= p < len(state.dims):
+                raise OutOfRange(f"--parties: index {p} outside 0..{len(state.dims) - 1}")
         value = dd.entropy_gain(state, dd.pi_multi(state, parties))
         print(f"{value:.12f}")
         return EXIT_OK
@@ -163,6 +166,8 @@ def _cmd_discord(args) -> int:
         print(f"degenerate={res.degenerate}", file=sys.stderr)
         print(f"basis columns (A):\n{res.basis_used}", file=sys.stderr)
     elif args.mode == "optimized2q":
+        if (state.dim_a, state.dim_b) != (2, 2):
+            raise ParseError(f"--mode optimized2q needs 2x2, not {state.dim_a}x{state.dim_b}")
         [result] = dd.optimized_discord_2q([state])
         print(f"{result.value:.12f}")
         print(
@@ -241,6 +246,9 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    if not 0.0 < args.tol_commute < args.tol_violation < np.inf:  # so that NaN fails
+        tols = f"{args.tol_commute} and {args.tol_violation}"
+        raise OutOfRange(f"need 0 < --tol-commute < --tol-violation < inf, got {tols}")
     channel = ch.load_channel(args.channel_file)
     seed = _resolve_seed(args)
     rng_c, rng_g = ex.sample_rngs(seed, [0, 1])

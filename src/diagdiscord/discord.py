@@ -31,12 +31,11 @@ from .linalg import (
 from .states import (
     BipartiteState,
     MultipartiteState,
+    _dephasing_factor,
     blocks_a,
-    from_pairs_a,
-    pairs_a,
+    from_blocks_a,
     ptrace_a,
     ptrace_b,
-    superop_a,
 )
 
 @dataclass(frozen=True)
@@ -58,50 +57,21 @@ def entropy_gain(state, dephased):
     return np.maximum(dephased.entropy - state.entropy, 0.0)
 
 
-def _dephasing_factor(basis: np.ndarray) -> np.ndarray:
-    """C[..., (a, a'), k] = v_k[a] conj(v_k[a']) for the basis columns v_k, one per basis of a stack."""
-    d = basis.shape[-2]
-    cols = basis[..., :, None, :] * basis.conj()[..., None, :, :]
-    return cols.reshape(cols.shape[:-3] + (d * d, cols.shape[-1]))
-
-
 def dephasing_superop(basis: np.ndarray) -> np.ndarray:
     """D = sum_k P_k (x) conj(P_k), P_k = v_k v_k^dag, for the basis columns v_k.
 
-    It is C C^dag for the factor C of ``_dephasing_factor``, one D per basis of a stack.
+    It is C C^dag for the factor C of ``states._dephasing_factor``, one D per basis of a stack.
     """
     c = _dephasing_factor(basis)
     return c @ c.conj().swapaxes(-1, -2)
 
 
-def dephase_blocks_a(rho: np.ndarray, d_a: int, d_b: int, basis: np.ndarray):
-    """The dephased matrix and its conditional blocks, for the basis columns v_i.
-
-    The matrix is sum_i (|v_i><v_i| (x) I) rho (|v_i><v_i| (x) I) and the
-    blocks (..., k, d_b, d_b) are <v_i| rho |v_i>. With rho regrouped by
-    ``pairs_a`` the blocks are C^dag pairs and the matrix is C blocks, so D =
-    C C^dag acts in two matmuls through k inner columns. A stack of bases
-    gives one per row of rho, or many for one matrix.
-    """
-    if basis.shape[-2] != d_a or rho.shape[-2:] != (d_a * d_b, d_a * d_b):
-        raise DimensionMismatch(
-            f"basis {basis.shape[-2:]} and matrix {rho.shape[-2:]} do not "
-            f"fit (d_A, d_B) = ({d_a}, {d_b})"
-        )
-    c = _dephasing_factor(basis)
-    blocks = c.conj().swapaxes(-1, -2) @ pairs_a(rho, d_a, d_b)
-    return from_pairs_a(c @ blocks, d_a, d_b), blocks.reshape(blocks.shape[:-1] + (d_b, d_b))
-
-
 def dephase_a(rho: np.ndarray, d_a: int, d_b: int, basis: np.ndarray) -> np.ndarray:
     """sum_i (|v_i><v_i| (x) I) rho (|v_i><v_i| (x) I) for basis columns v_i.
 
-    One matmul by D = ``dephasing_superop(basis)``, not the two of
-    ``dephase_blocks_a``: with those, the nongenerating scan's deviations of
-    the classification sweep moved by up to 9.3e-14. A stack of bases gives
-    one per row of rho, or many for one matrix.
+    A stack of bases gives one per row of rho, or many for one matrix.
     """
-    return superop_a(dephasing_superop(basis), rho, d_a, d_b)
+    return from_blocks_a(basis, blocks_a(rho, d_a, d_b, basis))
 
 
 def _angle_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,24 +175,22 @@ def pi_a(state: BipartiteState, optimize_degenerate: bool = False) -> PiResult:
     With a nondegenerate marginal the eigenbasis is unique up to phases and
     the result is deterministic. A degenerate marginal raises
     DegenerateMarginal unless ``optimize_degenerate`` is set, in which case
-    the entropy of the dephased state is minimized over the eigenbases
-    spanning each degenerate block. A stack of states is dephased as one
-    stack; only its degenerate rows are optimized one by one. The dephased
-    state's spectrum is that of its conditional blocks (``block_spectrum``),
-    with no eigensolve of the whole matrix.
+    the entropy of the dephased state, bit for bit as reported, is minimized
+    over the eigenbases spanning each degenerate block. A stack of states is
+    dephased as one stack; only its degenerate rows are optimized one by
+    one. The dephased state's spectrum is that of its conditional blocks
+    (``block_spectrum``), with no eigensolve of the whole matrix.
     """
     d_a, d_b = state.dim_a, state.dim_b
     basis = _eigenbasis(
         state,
         optimize_degenerate,
-        lambda rho, b: spectrum_entropy(
-            np.linalg.eigvalsh(blocks_a(rho, d_a, d_b, b)).reshape(*b.shape[:-2], -1)
-        ),
+        lambda rho, b: spectrum_entropy(block_spectrum(blocks_a(rho, d_a, d_b, b))),
     )
-    dephased, blocks = dephase_blocks_a(state.rho, d_a, d_b, basis)
+    blocks = blocks_a(state.rho, d_a, d_b, basis)
+    rho = from_blocks_a(basis, blocks)
     dephased = BipartiteState(
-        (dephased + dephased.conj().swapaxes(-1, -2)) / 2.0, d_a, d_b,
-        _spectrum=block_spectrum(blocks),
+        (rho + rho.conj().swapaxes(-1, -2)) / 2.0, d_a, d_b, _spectrum=block_spectrum(blocks)
     )
     return PiResult(
         dephased=dephased,
@@ -286,7 +254,7 @@ def generalized_discord(
 def pi_multi(state: MultipartiteState, parties) -> MultipartiteState:
     """Dephase every listed party in an eigenbasis of its marginal.
 
-    Each party is permuted to the front and dephased by ``dephase_blocks_a``;
+    Each party is permuted to the front and dephased through its blocks;
     the output's spectrum is that of the last party's blocks. The
     map is idempotent and preserves all measured marginals; measuring an
     empty party set is the identity.
@@ -312,7 +280,8 @@ def pi_multi(state: MultipartiteState, parties) -> MultipartiteState:
                 blocks=dec.degenerate_blocks,
                 party=k,
             )
-        front, blocks = dephase_blocks_a(front, d_k, rest, dec.eigenvectors)
+        blocks = blocks_a(front, d_k, rest, dec.eigenvectors)
+        front = from_blocks_a(dec.eigenvectors, blocks)
         spectrum = block_spectrum(blocks)
         permuted = tuple(dims[j] for j in order) * 2
         rho = front.reshape(permuted).transpose(np.argsort(axes)).reshape(size, size)

@@ -253,21 +253,35 @@ def superop_a(superop: np.ndarray, rho: np.ndarray, d_a: int, d_b: int) -> np.nd
     return from_pairs_a(superop @ pairs_a(rho, d_a, d_b), d_a, d_b)
 
 
+def _dephasing_factor(basis: np.ndarray) -> np.ndarray:
+    """C[..., (a, a'), k] = v_k[a] conj(v_k[a']) for the basis columns v_k, one per basis of a stack."""
+    d = basis.shape[-2]
+    cols = basis[..., :, None, :] * basis.conj()[..., None, :, :]
+    return cols.reshape(cols.shape[:-3] + (d * d, cols.shape[-1]))
+
+
 def blocks_a(rho: np.ndarray, d_a: int, d_b: int, basis: np.ndarray) -> np.ndarray:
-    """Conditional blocks <v_i| rho |v_i> for the basis columns v_i, shape (..., k, d_b, d_b)."""
-    return np.einsum(
-        "...ia,...abcd,...ic->...ibd",
-        basis.conj().swapaxes(-1, -2),
-        _split(rho, d_a, d_b),
-        basis.swapaxes(-1, -2),
-    )
+    """Conditional blocks <v_i| rho |v_i> for the basis columns v_i, shape (..., k, d_b, d_b).
+
+    They are C^dag ``pairs_a(rho)`` for C = ``_dephasing_factor(basis)``.
+    """
+    if basis.shape[-2] != d_a or rho.shape[-2:] != (d_a * d_b, d_a * d_b):
+        raise DimensionMismatch(
+            f"basis {basis.shape[-2:]} and matrix {rho.shape[-2:]} do not "
+            f"fit (d_A, d_B) = ({d_a}, {d_b})"
+        )
+    blocks = _dephasing_factor(basis).conj().swapaxes(-1, -2) @ pairs_a(rho, d_a, d_b)
+    return blocks.reshape(blocks.shape[:-1] + (d_b, d_b))
 
 
 def from_blocks_a(basis: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """sum_i |v_i><v_i| (x) blocks[i] for the basis columns v_i."""
-    out = np.einsum("...ai,...ibd,...ci->...abcd", basis, blocks, basis.conj())
-    d = basis.shape[-2] * blocks.shape[-1]
-    return out.reshape(out.shape[:-4] + (d, d))
+    """sum_i |v_i><v_i| (x) blocks[i] for the basis columns v_i: ``from_pairs_a`` of C blocks.
+
+    After ``blocks_a`` it completes the dephasing D = C C^dag in two matmuls.
+    """
+    d_b = blocks.shape[-1]
+    pairs = blocks.reshape(blocks.shape[:-2] + (d_b * d_b,))
+    return from_pairs_a(_dephasing_factor(basis) @ pairs, basis.shape[-2], d_b)
 
 
 def partial_trace_b(state: BipartiteState) -> np.ndarray:

@@ -126,20 +126,27 @@ def reference_qubit_mu_commuting_condition(channel, basis):
     return worst
 
 
-def degenerate_marginal_state(rng, d_a, d_b, rank=None):
-    """Random state, locally filtered on A so rho_A has degenerate pairs.
+def marginal_filtered_state(rng, d_a, d_b, spectrum, rank=None):
+    """Random state, locally filtered on A so rho_A has ``spectrum`` in a Haar-random basis.
 
-    rho_A gets the spectrum (1, 1, 2, 2, ...) / sum in a Haar-random basis,
-    with one nondegenerate eigenvalue left over when d_A is odd; at d_A = 2
-    that is rho_A = I/2. The unfiltered rho_A must be invertible.
+    The unfiltered rho_A must be invertible.
     """
     rho = random_density(rng, d_a * d_b, rank)
     vals, vecs = np.linalg.eigh(np.trace(rho.reshape(d_a, d_b, d_a, d_b), axis1=1, axis2=3))
-    w = np.arange(d_a) // 2 + 1.0
     inv_sqrt = vecs @ np.diag(vals ** -0.5) @ vecs.conj().T
-    f = np.kron(haar(rng, d_a) @ np.diag(np.sqrt(w / w.sum())) @ inv_sqrt, np.eye(d_b))
+    f = np.kron(haar(rng, d_a) @ np.diag(np.sqrt(spectrum)) @ inv_sqrt, np.eye(d_b))
     rho = f @ rho @ f.conj().T
     return BipartiteState((rho + rho.conj().T) / 2.0 / np.trace(rho).real, d_a, d_b)
+
+
+def degenerate_marginal_state(rng, d_a, d_b, rank=None):
+    """Random state whose rho_A has degenerate pairs (``marginal_filtered_state``).
+
+    rho_A gets the spectrum (1, 1, 2, 2, ...) / sum, with one nondegenerate
+    eigenvalue left over when d_A is odd; at d_A = 2 that is rho_A = I/2.
+    """
+    w = np.arange(d_a) // 2 + 1.0
+    return marginal_filtered_state(rng, d_a, d_b, w / w.sum(), rank)
 
 
 def reference_optimize_degenerate_basis(dec, objective):

@@ -113,6 +113,23 @@ class TestDiscordCommand:
         assert code == 0
         assert float(out.strip()) > 0.1
 
+    @pytest.mark.parametrize(
+        "dims, argv",
+        [
+            pytest.param((2, 2), ["--mode", "multi", "--parties", "5"], id="party-out-of-range"),
+            pytest.param((2, 2), ["--mode", "multi", "--parties", "0,2"], id="party-2-of-2"),
+            pytest.param((2, 3), ["--mode", "optimized2q"], id="optimized2q-on-2x3"),
+        ],
+    )
+    def test_argument_that_does_not_fit_the_state_exits_3(self, dims, argv, tmp_path, capsys):
+        path = tmp_path / "state.txt"
+        d = math.prod(dims)
+        st.save_state(st.BipartiteState(np.eye(d) / d, *dims), path)
+        assert cli.main(["discord", str(path), *argv]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error:")
+
     def test_parse_error_exit_3(self, tmp_path, capsys):
         path = tmp_path / "garbage.txt"
         path.write_text("not a state\n")
@@ -305,6 +322,20 @@ class TestClassifyCommand:
         assert cli.main(["classify", str(path), "--d-b", "0"]) == cli.EXIT_PARSE
         assert "subsystem dimensions (2, 0) must be >= 1" in capsys.readouterr().err
 
+    def test_tolerances_are_checked_before_any_scan(self, tmp_path, capsys):
+        # 1 would call the probabilistic Hadamard's 0.4 deviation "commuting"
+        path = tmp_path / "ph.txt"
+        ch.save_channel(ch.probabilistic_hadamard(), path)
+        out_dir = tmp_path / "wit"
+        assert cli.main([
+            "classify", str(path), "--trials", "15", "--tol-commute", "1",
+            "--output-dir", str(out_dir),
+        ]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol-commute" in captured.err
+        assert not out_dir.exists()
+
     def test_parse_error(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("wibble 7\n")
@@ -440,6 +471,17 @@ def test_every_readme_cli_example_parses():
         pytest.param(["sample", "random", "--dims", "0", "2"], {}, id="sample-dims=0x2"),
         pytest.param(["sample", "random", "--rank", "9"], {}, id="rank=9"),
         pytest.param(["experiment", "monotonicity", "--channel", "nosuch"], {}, id="channel=nosuch"),
+        # the tolerances are checked before the channel file is read
+        *(
+            pytest.param(
+                ["classify", "nosuch.txt", "--tol-commute", c, "--tol-violation", v], {},
+                id=f"tol-commute={c}-tol-violation={v}",
+            )
+            for c, v in [
+                ("1", "1e-3"), ("1e-3", "1e-3"), ("0", "1e-3"), ("-1", "1e-3"),
+                ("nan", "1e-3"), ("1e-9", "nan"), ("1e-9", "inf"),
+            ]
+        ),
     ],
 )
 def test_bad_argument_exits_3(argv, env, tmp_path, capsys, monkeypatch):

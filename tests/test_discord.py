@@ -273,6 +273,23 @@ class TestDegenerateEigenbasisSearch:
         for a, b in zip(got + got_bases, want + want_bases):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
+    @pytest.mark.parametrize("d_a", [2, 3, 4])
+    @pytest.mark.parametrize("d_b", [1, 2, 3])
+    def test_search_minimizes_the_entropy_pi_a_reports(self, d_a, d_b, monkeypatch):
+        search = dd._optimize_degenerate_basis
+        scored = []
+
+        def spy(dec, objective):
+            basis = search(dec, objective)
+            scored.append(objective(basis))
+            return basis
+
+        monkeypatch.setattr(dd, "_optimize_degenerate_basis", spy)
+        for seed in range(4):
+            state = degenerate_marginal_state(np.random.default_rng([seed, d_a, d_b]), d_a, d_b)
+            res = dd.pi_a(state, optimize_degenerate=True)
+            assert scored[-1] == res.dephased.entropy
+
     @pytest.mark.parametrize("d_a, n_blocks", [(2, 1), (3, 1), (4, 2)])
     def test_grid_is_one_stacked_call_per_block(self, d_a, n_blocks):
         state = degenerate_marginal_state(np.random.default_rng(d_a), d_a, 2)

@@ -76,7 +76,7 @@ def test_kept_spectrum_entropy_is_von_neumann_entropy(seed, dims, full_rank):
         res = dd.pi_a(bi)
         dephased = res.dephased
         # the dephased spectrum comes from the conditional blocks, not an eigvalsh
-        blocks = dd.dephase_blocks_a(bi.rho, *dims, res.basis_used)[1]
+        blocks = st.blocks_a(bi.rho, *dims, res.basis_used)
         assert np.array_equal(dephased.spectrum, la.block_spectrum(blocks))
         assert np.max(np.abs(dephased.spectrum - np.linalg.eigvalsh(dephased.rho))) <= 1e-14
         assert abs(dephased.entropy - von_neumann_entropy(dephased.rho)) <= 1e-12
