@@ -306,19 +306,14 @@ _THETA, _PHI = (g.reshape(64, 32) for g in _angle_grid(64, 32))
 _SIN_T, _COS_T = np.sin(_THETA[:32, :1]), np.cos(_THETA[:32, :1])
 _SIN_P, _COS_P = np.sin(_PHI[0]), np.cos(_PHI[0])
 _SIN2_T, _SINCOS_T = _SIN_T**2, _SIN_T * _COS_T
-#: phi columns of the half grid: all of them, or the phi = 0 and phi = pi/2
-#: meridians, which hold an X-state's least grid direction (``_grid_minimizers``)
-_ALL_PHI, _MERIDIANS = np.arange(32), np.array([0, 8])
-#: states evaluated on the whole half grid at once, and 32 / len(cols) times as
-#: many on fewer phi columns: the nine (16, 32, 32) chunk buffers stay in cache
+#: states evaluated on the half grid at once: the nine (16, 32, 32) chunk buffers stay in cache
 _GRID_CHUNK = 16
 # glibc raises its mmap threshold to the largest mmapped block freed so far.
 # Freeing this 2 MiB one keeps arrays of 128 KiB (the default) to 2 MiB on the heap,
 # mapped across calls, such as monotonicity's 600 x 4x4 complex stacks. Else they
 # fault in again: 18 700 minor faults against 38 in 8 monotonicity rounds of 3 x 600
-# (getrusage in-process). xstate does not depend on it, since the grid writes into
-# buffers made once per call: 15 rounds of 300 states take about 65 minor faults
-# with or without it.
+# (getrusage in-process). xstate does not depend on it: 15 rounds of 300 states
+# take about 10 minor faults with or without it.
 np.empty(1 << 18)
 #: I, sigma_x, sigma_y, sigma_z
 _PAULI = np.array(
@@ -375,8 +370,8 @@ def _objective(n: np.ndarray, a, b, t) -> np.ndarray:
     )
 
 
-def _grid_minimizers(a, b, t, cols=_ALL_PHI) -> np.ndarray:
-    """Each state's least direction (k, 3) on the half grid's phi columns ``cols``.
+def _grid_minimizers(a, b, t) -> np.ndarray:
+    """Each state's least direction (k, 3) on the theta <= pi/2 half grid.
 
     With |b +- T^T n|^2 = |b|^2 +- 2 n.(Tb) + n^T M n, M = T T^T, ln 2 times
     the objective is sum_+- [x ln x (p_+-) - x ln x (lam_+-,+) - x ln x
@@ -385,40 +380,28 @@ def _grid_minimizers(a, b, t, cols=_ALL_PHI) -> np.ndarray:
     with A = a_x cos ph + a_y sin ph, 2 n.(Tb) alike, and n^T M n = sin^2 th P
     + 2 sin th cos th Q + cos^2 th M_zz with P = M_xx cos^2 ph + 2 M_xy cos ph
     sin ph + M_yy sin^2 ph and Q = M_xz cos ph + M_yz sin ph. The stack is
-    evaluated _GRID_CHUNK * 32 / len(cols) states at a time, each chunk
-    written by ``out=`` ufuncs into buffers made once per call. Every product
-    and sum is elementwise, with no BLAS, so a row's bits depend neither on
-    the stack, nor on its chunk, nor on which other columns are evaluated.
-
-    An X-state needs only the _MERIDIANS columns. Its a and b lie along z and
-    T is diagonal, so at a fixed theta the objective depends on phi only
-    through r_+-^2 = c_+- + t_x^2 n_x^2 + t_y^2 n_y^2, which is linear in
-    cos^2 ph. The objective subtracts each pair x ln x((q + r)/4) + x ln x((q
-    - r)/4), whose derivative in r^2, artanh(r/q) / (4 r), increases with r.
-    So it is concave in cos^2 ph, and its least value on each theta row of the
-    grid lies at ph = 0 or ph = pi/2 (Lu et al., PRA 83, 012327 (2011)): up to
-    rounding, the first least point of the two columns is the whole half
-    grid's.
+    evaluated _GRID_CHUNK states at a time, each chunk written by ``out=``
+    ufuncs into buffers made once per call. Every product and sum is
+    elementwise, with no BLAS, so a row's bits depend neither on the stack
+    nor on its chunk.
     """
     tb = t[:, :, 0] * b[:, None, 0] + t[:, :, 1] * b[:, None, 1] + t[:, :, 2] * b[:, None, 2]
     m = t[:, :, None, 0] * t[:, None, :, 0] + t[:, :, None, 1] * t[:, None, :, 1]
     m += t[:, :, None, 2] * t[:, None, :, 2]
     bb = b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1] + b[:, 2] * b[:, 2]
     a, tb, m = a[:, None, None], 2.0 * tb[:, None, None], m[:, None, None]
-    # (N, 1, len(cols)) phi profiles against (32, 1) theta columns
-    sin_p, cos_p = _SIN_P[cols], _COS_P[cols]
-    u_phi, s_phi = (x[..., 0] * cos_p + x[..., 1] * sin_p for x in (a, tb))
-    p_phi = m[..., 0, 0] * cos_p**2 + m[..., 0, 1] * (2.0 * cos_p * sin_p)
-    p_phi += m[..., 1, 1] * sin_p**2
-    q_phi = m[..., 0, 2] * (2.0 * cos_p) + m[..., 1, 2] * (2.0 * sin_p)
+    # (N, 1, 32) phi profiles against (32, 1) theta columns
+    u_phi, s_phi = (x[..., 0] * _COS_P + x[..., 1] * _SIN_P for x in (a, tb))
+    p_phi = m[..., 0, 0] * _COS_P**2 + m[..., 0, 1] * (2.0 * _COS_P * _SIN_P)
+    p_phi += m[..., 1, 1] * _SIN_P**2
+    q_phi = m[..., 0, 2] * (2.0 * _COS_P) + m[..., 1, 2] * (2.0 * _SIN_P)
     u_theta, s_theta = _COS_T * a[..., 2], _COS_T * tb[..., 2]
     r_theta = _COS_T**2 * m[..., 2, 2] + bb[:, None, None]
-    size = _GRID_CHUNK * 32 // len(cols)
     best = np.empty(len(a), dtype=np.intp)
-    bufs = np.empty((9, min(len(a), size), 32, len(cols)))
-    for start in range(0, len(a), size):
-        chunk = slice(start, start + size)
-        u, s, rr, q, r, x, h, term, g = bufs[:, : min(size, len(a) - start)]
+    bufs = np.empty((9, min(len(a), _GRID_CHUNK), 32, 32))
+    for start in range(0, len(a), _GRID_CHUNK):
+        chunk = slice(start, start + _GRID_CHUNK)
+        u, s, rr, q, r, x, h, term, g = bufs[:, : min(_GRID_CHUNK, len(a) - start)]
         np.add(np.multiply(_SIN_T, u_phi[chunk], out=u), u_theta[chunk], out=u)
         np.add(np.multiply(_SIN_T, s_phi[chunk], out=s), s_theta[chunk], out=s)
         np.multiply(_SIN2_T, p_phi[chunk], out=rr)
@@ -433,7 +416,7 @@ def _grid_minimizers(a, b, t, cols=_ALL_PHI) -> np.ndarray:
             term -= xlogx(np.multiply(0.25, np.subtract(q, r, out=x), out=x), out=h)
             g += term
         best[chunk] = np.argmin(g.reshape(len(g), -1), axis=-1)
-    return _HALF_GRID.reshape(32, 32, 3)[:, cols].reshape(-1, 3)[best]
+    return _HALF_GRID[best]
 
 
 def _gradient_hessian(n: np.ndarray, a, b, t):
@@ -473,30 +456,51 @@ def _tangent_basis(n: np.ndarray) -> np.ndarray:
     return np.stack([e1, np.cross(n, e1)], axis=1)
 
 
-def _newton_refine(n, f, a, b, t):
-    """Projected Newton on the unit sphere from n, for every state at once.
+def _newton(x, f, model, value):
+    """Newton with step halving from points x with values f, every state at once.
 
-    Each step solves the 2x2 tangent Newton system (the gradient step where
-    the tangent Hessian is not positive definite), retracts by normalizing,
-    and halves the step until the objective strictly decreases. A state
-    stops once its tangent gradient is below _NEWTON_GTOL, no halving
-    decreases it, or its step is the convex Newton step d and the model
-    decrease -g.d/2 is at most _ROUNDOFF max(|f|, 1). That last stop is at
-    round-off: further steps could only move f in its last bits, and a state
-    there can take up to 40 halvings in each of 50 steps.
+    ``model(idx, x)`` gives states idx at x their step (Newton where the Hessian
+    is positive definite, else gradient), gradient norm and model decrease -g.d/2
+    (inf for a gradient step); ``value(idx, x)`` maps trial points onto the domain
+    and scores them. Steps halve until f strictly decreases. A state stops once
+    its gradient is below _NEWTON_GTOL, no halving decreases f, or the model
+    decrease is at most _ROUNDOFF max(|f|, 1): round-off, where up to 40 halvings
+    in each of 50 steps could only move f in its last bits.
     """
-    n, f = n.copy(), f.copy()
-    active = np.arange(len(n))
+    x, f = x.copy(), f.copy()
+    active = np.arange(len(x))
     for _ in range(_NEWTON_MAX_STEPS):
         if not len(active):
             break
-        x = n[active]
-        grad, hess = _gradient_hessian(x, a[active], b[active], t[active])
+        start = x[active]
+        step, gnorm, gain = model(active, start)
+        moving = (gnorm >= _NEWTON_GTOL) & (gain > _ROUNDOFF * np.maximum(np.abs(f[active]), 1.0))
+        active, start, step = active[moving], start[moving], step[moving]
+        improved = np.zeros(len(active), dtype=bool)
+        scale = 1.0
+        for _ in range(_BACKTRACK_HALVINGS):
+            todo = ~improved
+            if not todo.any():
+                break
+            idx = active[todo]
+            trial, ft = value(idx, start[todo] + scale * step[todo])
+            better = ft < f[idx]
+            x[idx[better]], f[idx[better]] = trial[better], ft[better]
+            improved[np.flatnonzero(todo)[better]] = True
+            scale /= 2.0
+        active = active[improved]
+    return x, f
+
+
+def _newton_refine(n, f, a, b, t):
+    """``_newton`` on the unit sphere from n: 2x2 tangent systems, retraction by normalizing."""
+
+    def model(idx, x):
+        grad, hess = _gradient_hessian(x, a[idx], b[idx], t[idx])
         e = _tangent_basis(x)
         g = np.einsum("kpi,ki->kp", e, grad)
         h = np.einsum("kpi,kij,kqj->kpq", e, hess, e)
         h -= np.einsum("ki,ki->k", x, grad)[:, None, None] * np.eye(2)
-        moving = np.linalg.norm(g, axis=-1) >= _NEWTON_GTOL
         det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
         convex = (h[:, 0, 0] > 0.0) & (det > 0.0)
         dsafe = np.where(convex, det, 1.0)
@@ -505,26 +509,79 @@ def _newton_refine(n, f, a, b, t):
              h[:, 0, 0] * g[:, 1] - h[:, 1, 0] * g[:, 0]],
             axis=-1,
         ) / dsafe[:, None]
-        # -g.d/2 is what the convex Newton step d gains on the quadratic model
-        gain = -0.5 * np.einsum("kp,kp->k", g, newton)
-        moving &= ~convex | (gain > _ROUNDOFF * np.maximum(np.abs(f[active]), 1.0))
+        gain = np.where(convex, -0.5 * np.einsum("kp,kp->k", g, newton), np.inf)
         step = np.einsum("kp,kpi->ki", np.where(convex[:, None], newton, -g), e)
-        active, x, step = active[moving], x[moving], step[moving]
-        improved = np.zeros(len(active), dtype=bool)
-        scale = 1.0
-        for _ in range(_BACKTRACK_HALVINGS):
-            todo = ~improved
-            if not todo.any():
-                break
-            idx = active[todo]
-            trial = x[todo] + scale * step[todo]
-            trial /= np.linalg.norm(trial, axis=-1, keepdims=True)
-            ft = _objective(trial, a[idx], b[idx], t[idx])
-            better = ft < f[idx]
-            n[idx[better]], f[idx[better]] = trial[better], ft[better]
-            improved[np.flatnonzero(todo)[better]] = True
-            scale /= 2.0
-        active = active[improved]
+        return step, np.linalg.norm(g, axis=-1), gain
+
+    def value(idx, trial):
+        trial /= np.linalg.norm(trial, axis=-1, keepdims=True)
+        return trial, _objective(trial, a[idx], b[idx], t[idx])
+
+    return _newton(n, f, model, value)
+
+
+def _meridian_objective(theta, a_z, b_z, t_p, t_z):
+    """An X-state's objective at theta on the meridian where T's in-plane entry is t_p.
+
+    ln 2 times it is sum_+- x ln x(q/2) - x ln x((q + r)/4) - x ln x((q - r)/4) for
+    q = 1 +- a_z cos th and r^2 = t_p^2 sin^2 th + (b_z +- t_z cos th)^2.
+    """
+    c, s = np.cos(theta), np.sin(theta)
+    q = np.stack([1.0 + a_z * c, 1.0 - a_z * c])
+    z = np.stack([b_z + t_z * c, b_z - t_z * c])
+    r = np.sqrt((t_p * s) ** 2 + z * z)
+    h = xlogx(q / 2.0) - xlogx((q + r) / 4.0) - xlogx((q - r) / 4.0)
+    return (h[0] + h[1]) / _LN2
+
+
+def _x_minimizers(a, b, t):
+    """Each X-state's least direction (k, 3) and objective (k,), found in theta alone.
+
+    With a, b along z and T = diag(t_x, t_y, t_z), the objective depends on phi
+    only through r_+-^2 = (b_z +- t_z cos th)^2 + t_x^2 n_x^2 + t_y^2 n_y^2,
+    linear in cos^2 ph. Each subtracted pair x ln x((q +- r)/4) has derivative
+    artanh(r/q) / (4 r) in r^2, increasing in r, so the objective is concave
+    in cos^2 ph and least on the ph = 0 or pi/2 meridian (Lu et al., PRA 83,
+    012327 (2011)). The first least point of both at the half grid's thetas
+    is refined by ``_newton`` in theta, with the analytic slope and curvature;
+    theta needs no bounds, since the objective is even about 0 and pi/2. All
+    is elementwise, so a row's bits do not depend on the stack.
+    """
+    rows = np.arange(len(a))
+    a_z, b_z, t_z = a[:, 2], b[:, 2], t[:, 2, 2]
+    t_p = np.stack([t[:, 0, 0], t[:, 1, 1]])
+    g = _meridian_objective(_THETA[None, :32, :1], a_z, b_z, t_p[:, None], t_z).reshape(64, -1)
+    best = np.argmin(g, axis=0)
+    args = (a_z, b_z, t_p[best // 32, rows], t_z)
+    sign = np.array([[1.0], [-1.0]])
+    weight = np.array([1.0, -1.0, -1.0])[:, None, None] / _LN2
+
+    def model(idx, theta):
+        a_z, b_z, t_p, t_z = (x[idx] for x in args)
+        c, s = np.cos(theta), np.sin(theta)
+        q, dq, d2q = 1.0 + sign * (a_z * c), -sign * (a_z * s), -sign * (a_z * c)
+        z, dz, d2z = b_z + sign * (t_z * c), -sign * (t_z * s), -sign * (t_z * c)
+        r = np.sqrt((t_p * s) ** 2 + z * z)
+        rs = np.where(r > 0.0, r, 1.0)
+        dr = (t_p * t_p * s * c + z * dz) / rs
+        d2r = (t_p * t_p * (c * c - s * s) + dz * dz + z * d2z - dr * dr) / rs
+        # y = q/2, (q + r)/4, (q - r)/4, whose weighted (x ln x)' = ln x + 1 sum drops the 1
+        pairs = ((q, r), (dq, dr), (d2q, d2r))
+        y, dy, d2y = (np.stack([u + u, u + v, u - v]) / 4.0 for u, v in pairs)
+        w, ys = np.where(y > 0.0, weight, 0.0), np.where(y > 0.0, y, 1.0)
+        log = np.log(ys)
+        slope = (w * log * dy).sum(axis=(0, 1))
+        curvature = (w * (dy * dy / ys + log * d2y)).sum(axis=(0, 1))
+        convex = curvature > 0.0
+        step = -slope / np.where(convex, curvature, 1.0)
+        return step, np.abs(slope), np.where(convex, -0.5 * slope * step, np.inf)
+
+    def value(idx, theta):
+        return theta, _meridian_objective(theta, *(x[idx] for x in args))
+
+    theta, f = _newton(_THETA[best % 32, 0], g[best, rows], model, value)
+    n = np.zeros((len(a), 3))
+    n[rows, best // 32], n[:, 2] = np.sin(theta), np.cos(theta)
     return n, f
 
 
@@ -537,19 +594,19 @@ def optimized_discord_2q(
     sum_k p_k S(rho_B|k), the conditional entropy after measuring A in the
     basis (I +- n.sigma)/2. With the Bloch form of Luo (PRA 77, 042303
     (2008)) it is a smooth function of n (see ``_conditional_entropy``).
-    The whole stack is evaluated, _GRID_CHUNK states at a time, on the
-    theta <= pi/2 half of a 64x32 (theta, phi) direction grid by a closed
-    form in the grid monomials (``_grid_minimizers``); an X-state
-    (``_x_shaped``) takes only the phi = 0 and pi/2 meridians, since its
-    objective is concave in cos^2 phi. Each state's best grid point is
-    scored by ``_objective`` and then all are refined at once by projected
-    Newton with the analytic gradient and Hessian, which stops a state once
-    a convex Newton step can gain only round-off in the objective
-    (``_newton_refine``) and keeps an X-state on its meridian. The value is
-    the least of the grid point, the Newton point and the marginal
-    eigenbasis n_e = v^dag sigma v, so it never exceeds the grid value, nor
-    the diagonal discord beyond rounding (the two evaluate the eigenbasis by
-    different formulas). theta and phi are the polar angles of the winning n.
+    A row whose Bloch form is exactly an X-state's (``_x_shaped``) is
+    minimized in theta alone, on the phi = 0 and pi/2 meridians
+    (``_x_minimizers``). Every other row is evaluated, _GRID_CHUNK states at
+    a time, on the theta <= pi/2 half of a 64x32 (theta, phi) direction grid
+    by a closed form in the grid monomials (``_grid_minimizers``); its best
+    grid point is scored by ``_objective`` and refined by projected Newton
+    with the analytic gradient and Hessian (``_newton_refine``). Both
+    refiners stop a state once a convex Newton step can gain only round-off
+    in the objective (``_newton``). The value is the least of the refined
+    point and the marginal eigenbasis n_e = v^dag sigma v, so it never
+    exceeds the grid value, nor the diagonal discord beyond rounding (the
+    two evaluate the eigenbasis by different formulas).
+    theta and phi are the polar angles of the winning n.
 
     ``states`` is a stack (N, 4, 4) of states, or a sequence of single
     states, which is stacked at entry; the result has one entry per state.
@@ -566,13 +623,16 @@ def optimized_discord_2q(
             "optimized_discord_2q requires a stack (N, 4, 4) with d_A = d_B = 2"
         )
     a, b, t = _bloch_form(states.rho)
-    n_grid = np.empty_like(a)
+    n_newton, f_newton = np.empty_like(a), np.empty(len(a))
     x_rows = _x_shaped(a, b, t)
-    for rows, cols in ((x_rows, _MERIDIANS), (~x_rows, _ALL_PHI)):
-        if rows.any():
-            n_grid[rows] = _grid_minimizers(a[rows], b[rows], t[rows], cols)
-    f_grid = _objective(n_grid, a, b, t)
-    n_newton, f_newton = _newton_refine(n_grid, f_grid, a, b, t)
+    if x_rows.any():
+        n_newton[x_rows], f_newton[x_rows] = _x_minimizers(a[x_rows], b[x_rows], t[x_rows])
+    if not x_rows.all():
+        rest = (a[~x_rows], b[~x_rows], t[~x_rows])
+        n_grid = _grid_minimizers(*rest)
+        n_newton[~x_rows], f_newton[~x_rows] = _newton_refine(
+            n_grid, _objective(n_grid, *rest), *rest
+        )
     dec = states.marginal_eig
     v = dec.eigenvectors[:, :, 0]
     n_eig = np.einsum("ka,iab,kb->ki", v.conj(), _PAULI[1:], v).real

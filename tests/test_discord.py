@@ -26,6 +26,13 @@ from helpers import (
     reference_optimize_degenerate_basis,
     reference_optimized_discord_2q,
 )
+from test_extended_precision import (
+    EPS,
+    conditional_entropy_oracle,
+    direction,
+    mp,
+    pure_conditional_stack,
+)
 
 # Werner-like mixture 0.9 Bell + 0.1 I/4; value frozen from an independent
 # scipy.linalg.logm evaluation of min_basis S(dephased) - S(rho)
@@ -512,7 +519,7 @@ class TestGridMinimizers:
             assert np.all(n[:, 2] > 0.0)
             assert all(any((row == g).all() for g in dd._HALF_GRID) for row in n)
 
-    # X-states run 16 times as many rows per chunk on the two meridians: C_x = 16 C
+    # stack sizes at the general grid's chunk edges: C, 2C + 3 and 16 C (Cx)
     @pytest.mark.parametrize(
         "chunks, extra",
         [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3), (16, -1), (16, 0), (16, 1)],
@@ -571,13 +578,12 @@ class TestNewtonRefine:
         # the refiner that stepped on made 52 objective calls here, most on
         # 1 to 3 states whose halvings could only move the last bits
         calls = []
-        objective = dd._objective
+        for name in ("_objective", "_meridian_objective"):
+            def counted(*args, objective=getattr(dd, name)):
+                calls.append(len(args[0]))
+                return objective(*args)
 
-        def counted(n, a, b, t):
-            calls.append(len(n))
-            return objective(n, a, b, t)
-
-        monkeypatch.setattr(dd, "_objective", counted)
+            monkeypatch.setattr(dd, name, counted)
         ex.run_xstate_comparison(300, 1001)
         assert len(calls) <= 8
 
@@ -587,17 +593,17 @@ def _x_pool(seed, n):
     return st.x_state_matrix(st.sample_x_params(ex.sample_rngs(seed, range(n))))
 
 
-def _grid_points_per_row(monkeypatch):
-    """Record how many grid points the kernel evaluates for each row it is given."""
-    points = []
-    kernel = dd._grid_minimizers
+def _rows_per_path(monkeypatch):
+    """Record how many rows the general grid, its refiner and the X path are given."""
+    rows = dict.fromkeys(["grid", "newton", "x"], 0)
+    for key, name in (("grid", "_grid_minimizers"), ("newton", "_newton_refine"),
+                      ("x", "_x_minimizers")):
+        def counted(*args, key=key, kernel=getattr(dd, name)):
+            rows[key] += len(args[0])
+            return kernel(*args)
 
-    def counted(a, b, t, cols=dd._ALL_PHI):
-        points.extend([32 * len(cols)] * len(a))
-        return kernel(a, b, t, cols)
-
-    monkeypatch.setattr(dd, "_grid_minimizers", counted)
-    return points
+        monkeypatch.setattr(dd, name, counted)
+    return rows
 
 
 def _no_x_rows(a, b, t):
@@ -609,18 +615,37 @@ def _result_bytes(results):
     return np.array([[r.value, r.theta, r.phi] for r in results]).tobytes()
 
 
+#: how far the X path's value may lie from the general path's on X-states:
+#: each stops at round-off on its own rounding of the objective. Over the
+#: 4 x 5000 X-states below, 62% of the values differed, by at most 1.1e-15.
+X_PATH_TOL = 2e-15
+#: how far, in eps, the 40-digit objective at the X path's direction may lie
+#: above the general path's: each refiner stops once a step can gain at most
+#: _ROUNDOFF = 4 eps. On the same states it lay at most 3.8 eps above.
+X_PATH_EXCESS = 8.0
+
+
 class TestXStateMeridians:
     @pytest.mark.parametrize("seed", [7, 8, 9, 10])
-    def test_meridians_give_the_whole_half_grid_bits(self, seed, monkeypatch):
+    def test_x_path_matches_the_general_path(self, seed, monkeypatch):
         rhos = _x_pool(seed, 5000)
-        a, b, t = dd._bloch_form(rhos)
-        assert dd._x_shaped(a, b, t).all()
-        got = dd._grid_minimizers(a, b, t, dd._MERIDIANS)
-        assert got.tobytes() == dd._grid_minimizers(a, b, t).tobytes()
+        assert dd._x_shaped(*dd._bloch_form(rhos)).all()
         state = st.BipartiteState(rhos, 2, 2)
-        meridians = dd.optimized_discord_2q(state)
+        x_path = dd.optimized_discord_2q(state)
         monkeypatch.setattr(dd, "_x_shaped", _no_x_rows)
-        assert _result_bytes(meridians) == _result_bytes(dd.optimized_discord_2q(state))
+        general = dd.optimized_discord_2q(state)
+        gap = np.array([x.value - g.value for x, g in zip(x_path, general)])
+        assert np.max(np.abs(gap)) <= X_PATH_TOL
+        # where the X path's float value is not above the general path's, a
+        # 40-digit excess can come only from the two floats' errors, each at
+        # most 2.3 eps seen on X-states (ENTROPY_BOUNDS); the rows where it is
+        # above are judged at 40 digits
+        with mp.workdps(40):
+            for k in np.flatnonzero(gap > 0.0):
+                objective = conditional_entropy_oracle(rhos[k])
+                x, g = (direction(r.theta, r.phi) for r in (x_path[k], general[k]))
+                excess = objective(x) - objective(g)
+                assert excess / EPS <= X_PATH_EXCESS, (k, float(excess / EPS))
 
     def test_near_x_states_take_the_whole_half_grid(self, monkeypatch):
         rng = np.random.default_rng(35)
@@ -655,9 +680,9 @@ class TestXStateMeridians:
         for kind, rhos in stacks.items():
             state = st.BipartiteState(rhos, 2, 2)
             with monkeypatch.context() as m:
-                points = _grid_points_per_row(m)
+                rows = _rows_per_path(m)
                 got = dd.optimized_discord_2q(state)
-            assert points == [32 * 32] * len(rhos), kind
+            assert rows == {"grid": len(rhos), "newton": len(rhos), "x": 0}, kind
             with monkeypatch.context() as m:
                 m.setattr(dd, "_x_shaped", _no_x_rows)
                 assert _result_bytes(got) == _result_bytes(dd.optimized_discord_2q(state)), kind
@@ -685,11 +710,108 @@ class TestXStateMeridians:
             assert results[i].value <= least + 1e-12
             assert results[i].value >= least - rise
 
-    def test_xstate_comparison_takes_only_the_meridian_path(self, monkeypatch):
+    def test_xstate_comparison_takes_only_the_x_path(self, monkeypatch):
         # fails if _bloch_form or x_state_matrix ever stop giving exact zeros
-        points = _grid_points_per_row(monkeypatch)
+        rows = _rows_per_path(monkeypatch)
         ex.run_xstate_comparison(300, 1001)
-        assert points == [2 * 32] * 300
+        assert rows == {"grid": 0, "newton": 0, "x": 300}
+
+
+def _bell_diagonal(c):
+    """(I + sum_i c_i sigma_i (x) sigma_i) / 4."""
+    terms = (ci * np.kron(dd._PAULI[i + 1], dd._PAULI[i + 1]) for i, ci in enumerate(c))
+    return (np.eye(4) + sum(terms)) / 4.0
+
+
+def _luo_discord(c):
+    """Luo's closed form (PRA 77, 042303 (2008)) for a Bell-diagonal state:
+    I - C with C = sum_+- (1 +- m)/2 log2(1 +- m), m = max |c_i|."""
+    lam = [(1 - c[0] - c[1] - c[2]) / 4, (1 - c[0] + c[1] + c[2]) / 4,
+           (1 + c[0] - c[1] + c[2]) / 4, (1 + c[0] + c[1] - c[2]) / 4]
+    m = max(abs(x) for x in c)
+    classical = sum((1 + s) / 2 * math.log2(1 + s) for s in (m, -m) if 1 + s > 0)
+    return 2 + sum(x * math.log2(x) for x in lam if x > 0) - classical
+
+
+def _diagonal(*p):
+    return np.diag(np.array(p, dtype=complex))
+
+
+def _edge_x_states(rng, n=8):
+    """X-shaped edge cases by kind, as (kind, (k, 4, 4) matrices)."""
+    p, q, r = (rng.uniform(0.05, 0.95, n) for _ in range(3))
+    products = [np.kron(_diagonal(x, 1 - x), _diagonal(y, 1 - y)) for x, y in zip(p, q)]
+    products += [np.kron(np.eye(2) / 2, _diagonal(y, 1 - y)) for y in q]
+    products += [np.kron(_diagonal(x, 1 - x), np.eye(2) / 2) for x in p] + [np.eye(4) / 4]
+    classical = [
+        x * np.kron(_diagonal(1, 0), _diagonal(y, 1 - y))
+        + (1 - x) * np.kron(_diagonal(0, 1), _diagonal(z, 1 - z))
+        for x, y, z in zip(p, q, r)
+    ]
+    return [
+        ("product", np.stack(products)),
+        ("classical", np.stack(classical)),
+        ("pure conditional", pure_conditional_stack(3 * n, 23)[[i for i in range(3 * n) if i % 3]]),
+        ("bell diagonal", np.stack([_bell_diagonal(c) for c in BELL_DIAGONAL]).astype(complex)),
+        ("sampled", _x_pool(24, n)),
+    ]
+
+
+#: Bell-diagonal correlations (c_1, c_2, c_3), with ties between the largest |c_i|
+BELL_DIAGONAL = [
+    (0.3, -0.2, 0.1), (0.1, 0.6, 0.2), (-0.1, 0.05, 0.7), (0.4, 0.4, 0.1), (0.4, -0.4, 0.1),
+    (0.3, 0.1, 0.3), (0.1, -0.3, 0.3), (0.3, 0.3, 0.3), (-0.3, -0.3, -0.3), (-0.5, 0.5, 0.5),
+    (1.0, -1.0, 1.0), (0.2, 0.0, 0.0), (0.0, 0.0, 0.0), (0.9, 0.05, -0.05),
+]
+
+
+class TestXMinimizers:
+    def test_bell_diagonal_states_match_luos_closed_form(self):
+        rng = np.random.default_rng(25)
+        cs = list(BELL_DIAGONAL)
+        while len(cs) < 40:
+            c = tuple(rng.uniform(-1.0, 1.0, 3))
+            if np.linalg.eigvalsh(_bell_diagonal(c)).min() >= 0.0:
+                cs.append(c)
+        rhos = np.stack([_bell_diagonal(c) for c in cs]).astype(complex)
+        for c, res in zip(cs, dd.optimized_discord_2q(st.BipartiteState(rhos, 2, 2))):
+            assert abs(res.value - _luo_discord(c)) <= 1e-14, c
+
+    def test_edge_cases(self):
+        kinds = dict(_edge_x_states(np.random.default_rng(26)))
+        for kind, rhos in kinds.items():
+            a, b, t = dd._bloch_form(rhos)
+            assert dd._x_shaped(a, b, t).all(), kind
+            n, f = dd._x_minimizers(a, b, t)
+            assert np.all(np.isfinite(f)) and np.all(np.isfinite(n)), kind
+            assert np.max(np.abs(np.linalg.norm(n, axis=-1) - 1.0)) <= 1e-15, kind
+        # products have a flat objective, S(rho_B), and no discord
+        product = dd.optimized_discord_2q(st.BipartiteState(kinds["product"], 2, 2))
+        assert max(r.value for r in product) <= 1e-15
+        # classical states are least at the pole, where B's conditional states are diagonal
+        classical = kinds["classical"]
+        n, _ = dd._x_minimizers(*dd._bloch_form(classical))
+        assert np.all(n == [0.0, 0.0, 1.0])
+        classical = dd.optimized_discord_2q(st.BipartiteState(classical, 2, 2))
+        assert max(r.value for r in classical) <= 1e-15
+        # pure conditional rows: p|00><00| + (1 - p)|11><11| has no discord, and
+        # sqrt(p)|00> + sqrt(1 - p)|11> the entanglement entropy h(p)
+        rhos = kinds["pure conditional"]
+        for rho, res in zip(rhos, dd.optimized_discord_2q(st.BipartiteState(rhos, 2, 2))):
+            p = rho[0, 0].real
+            want = 0.0 if rho[0, 3] == 0 else -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+            assert abs(res.value - want) <= 1e-14
+
+    def test_rows_equal_single_state_calls(self):
+        rhos = np.concatenate([x for _, x in _edge_x_states(np.random.default_rng(27))])
+        a, b, t = dd._bloch_form(rhos)
+        n, f = dd._x_minimizers(a, b, t)
+        for k in range(len(rhos)):
+            row_n, row_f = dd._x_minimizers(a[k : k + 1], b[k : k + 1], t[k : k + 1])
+            assert row_n.tobytes() == n[k : k + 1].tobytes()
+            assert row_f.tobytes() == f[k : k + 1].tobytes()
+        empty_n, empty_f = dd._x_minimizers(a[:0], b[:0], t[:0])
+        assert empty_n.shape == (0, 3) and empty_f.shape == (0,)
 
 
 class TestOptimizedDiscord:
