@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .linalg import (
     SpectralDecomposition,
     binary_entropy,
     block_spectrum,
+    check_density_spectrum,
     check_schatten_p,
     first_bad_row,
     hermitian_eig,
@@ -42,14 +44,26 @@ from .states import (
 class PiResult:
     """Outcome of dephasing subsystem A in an eigenbasis of rho_A.
 
-    ``value`` is the diagonal discord S(dephased) - S(rho), floored at zero.
-    For a stack of states ``value`` and ``degenerate`` hold one entry per row.
+    ``value`` is the diagonal discord S(dephased) - S(rho), floored at zero,
+    from the checked ``spectrum`` of the dephased state, that of its
+    ``blocks``. ``dephased`` is built on first read, when its matrix is
+    checked. For a stack of states ``value`` and ``degenerate`` hold one
+    entry per row.
     """
 
-    dephased: BipartiteState
     basis_used: np.ndarray
+    blocks: np.ndarray
+    spectrum: np.ndarray
     degenerate: bool
     value: float
+
+    @cached_property
+    def dephased(self) -> BipartiteState:
+        """The dephased state, built from the blocks on first read and kept."""
+        rho = from_blocks_a(self.basis_used, self.blocks)
+        rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
+        d_a, d_b = self.basis_used.shape[-1], self.blocks.shape[-1]
+        return BipartiteState(rho, d_a, d_b, _spectrum=self.spectrum)
 
 
 def entropy_gain(state, dephased):
@@ -179,7 +193,8 @@ def pi_a(state: BipartiteState, optimize_degenerate: bool = False) -> PiResult:
     over the eigenbases spanning each degenerate block. A stack of states is
     dephased as one stack; only its degenerate rows are optimized one by
     one. The dephased state's spectrum is that of its conditional blocks
-    (``block_spectrum``), with no eigensolve of the whole matrix.
+    (``block_spectrum``), with no eigensolve of the whole matrix; it is
+    checked and gives ``value`` at once, and the matrix is built on first read.
     """
     d_a, d_b = state.dim_a, state.dim_b
     basis = _eigenbasis(
@@ -188,21 +203,25 @@ def pi_a(state: BipartiteState, optimize_degenerate: bool = False) -> PiResult:
         lambda rho, b: spectrum_entropy(block_spectrum(blocks_a(rho, d_a, d_b, b))),
     )
     blocks = blocks_a(state.rho, d_a, d_b, basis)
-    rho = from_blocks_a(basis, blocks)
-    dephased = BipartiteState(
-        (rho + rho.conj().swapaxes(-1, -2)) / 2.0, d_a, d_b, _spectrum=block_spectrum(blocks)
-    )
+    spectrum = check_density_spectrum(block_spectrum(blocks))
     return PiResult(
-        dephased=dephased,
         basis_used=basis,
+        blocks=blocks,
+        spectrum=spectrum,
         degenerate=state.marginal_eig.degenerate,
-        value=entropy_gain(state, dephased),
+        value=np.maximum(np.maximum(spectrum_entropy(spectrum), 0.0) - state.entropy, 0.0),
     )
 
 
 def diagonal_discord(state: BipartiteState, optimize_degenerate: bool = False) -> float:
-    """S(pi_A(rho)) - S(rho) in bits, minimized over degenerate eigenbases."""
-    return pi_a(state, optimize_degenerate).value
+    """S(pi_A(rho)) - S(rho) in bits, minimized over degenerate eigenbases.
+
+    It builds and checks pi_A(rho) as a state and reads the gain from it,
+    bit for bit ``pi_a(state).value``, which the stacked experiments read
+    without building the dephased matrix.
+    """
+    res = pi_a(state, optimize_degenerate)
+    return entropy_gain(state, res.dephased)
 
 
 def _marginal_entropies(state: BipartiteState) -> float:
@@ -223,11 +242,12 @@ def diagonal_discord_via_mi(
 
     Both marginals are the same before and after pi_A, so their entropies
     are computed once, S(rho_A) from the marginal decomposition pi_A uses.
+    S(pi_A(rho)) comes from the kept spectrum; no dephased matrix is built.
     """
     res = pi_a(state, optimize_degenerate)
     marginals = _marginal_entropies(state)
     before = np.maximum(marginals - state.entropy, 0.0)
-    after = np.maximum(marginals - res.dephased.entropy, 0.0)
+    after = np.maximum(marginals - np.maximum(spectrum_entropy(res.spectrum), 0.0), 0.0)
     return np.maximum(before - after, 0.0)
 
 
@@ -618,6 +638,12 @@ def optimized_discord_2q(
         if not states:
             return []
         states = BipartiteState(np.stack([s.rho for s in states]), 2, 2)
+    value, theta, phi = (x.tolist() for x in _optimized_2q(states))
+    return [OptimizedDiscordResult(v, th, ph) for v, th, ph in zip(value, theta, phi)]
+
+
+def _optimized_2q(states: BipartiteState):
+    """``optimized_discord_2q`` of a stack as three arrays: value, theta and phi."""
     if states.dim_a != 2 or states.dim_b != 2 or states.rho.ndim != 3:
         raise DimensionMismatch(
             "optimized_discord_2q requires a stack (N, 4, 4) with d_A = d_B = 2"
@@ -642,10 +668,7 @@ def optimized_discord_2q(
     theta = np.arccos(np.clip(best_n[:, 2], -1.0, 1.0))
     phi = np.arctan2(best_n[:, 1], best_n[:, 0]) % (2.0 * math.pi)
     base = spectrum_entropy(dec.eigenvalues) - states.entropy
-    return [
-        OptimizedDiscordResult(value=max(s + f, 0.0), theta=float(th), phi=float(ph))
-        for s, f, th, ph in zip(base.tolist(), best_f.tolist(), theta, phi)
-    ]
+    return np.maximum(base + best_f, 0.0), theta, phi
 
 
 # --- continuity bounds --------------------------------------------------------

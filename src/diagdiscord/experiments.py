@@ -15,10 +15,10 @@ import numpy as np
 
 from . import channels as ch
 from .discord import (
+    _optimized_2q,
     continuity_bound,
     diagonal_discord,
     generalized_discord,
-    optimized_discord_2q,
     pi_a,
     schatten_continuity_bound,
 )
@@ -326,11 +326,11 @@ def run_monotonicity(
 ) -> ExperimentRecord:
     """Diagonal discord before vs after a local qubit channel on random states.
 
-    Sample i draws its state, as one ``ginibre`` draw, from its own generator
-    ``sample_rng(seed, i)``, made with those of its stack by one
-    ``sample_rngs`` call; a sample whose first draw has a degenerate
-    A-marginal is drawn again by ``sample_nondegenerate`` from a fresh copy of
-    that generator, which rejects the same first draw. The states then go
+    Sample i draws one ``ginibre`` call's normals into its row of a buffer,
+    from its own generator ``sample_rng(seed, i)``, made by one ``sample_rngs``
+    call per stack; a sample whose first draw has a degenerate A-marginal is
+    drawn again by ``sample_nondegenerate`` from a fresh copy of that
+    generator, which rejects the same first draw. The states then go
     through ``pi_a`` and the channel as stacks of up to MONO_STACK rows; a
     channel output with a degenerate marginal is optimized row by row.
     """
@@ -343,9 +343,10 @@ def run_monotonicity(
     rank = check_rank(4, rank)
 
     def stack(first: int, stop: int):
-        # real, then imaginary parts in one call: the numbers of two ginibre calls
-        rngs = sample_rngs(seed, range(first, stop))
-        z = np.stack([rng.normal(size=(2, 4, rank)) for rng in rngs])
+        # real, then imaginary parts in one draw: the numbers of two ginibre calls
+        z = np.empty((stop - first, 2, 4, rank))
+        for k, rng in enumerate(sample_rngs(seed, range(first, stop))):
+            rng.standard_normal(out=z[k])
         rhos = ginibre_density(z[:, 0] + 1j * z[:, 1])
         states = BipartiteState(rhos, 2, 2)
         resampled = np.zeros(stop - first)
@@ -395,11 +396,11 @@ def run_xstate_comparison(
     Sample i draws its parameters from its own generator ``sample_rng(seed, i)``;
     the generators are made by one ``sample_rngs`` call, and
     ``sample_x_params`` tests their candidates as one stack. The X-states are
-    built, validated and dephased as one stack, and go to
-    ``optimized_discord_2q`` as that stack. A sample whose first draw has a
-    degenerate A-marginal is drawn again from a fresh ``sample_rng(seed, i)``,
-    which rejects the same first draw and goes on until a marginal is
-    nondegenerate, within XSTATE_DEGENERATE_BUDGET draws.
+    built, validated and dephased as one stack, whose optimized discord
+    (``optimized_discord_2q``) comes as one array. A sample whose first draw
+    has a degenerate A-marginal is drawn again from a fresh
+    ``sample_rng(seed, i)``, which rejects the same first draw and goes on
+    until a marginal is nondegenerate, within XSTATE_DEGENERATE_BUDGET draws.
     """
     seed = _check_seed(seed)
     if samples < 1:
@@ -427,7 +428,7 @@ def run_xstate_comparison(
     if len(redrawn):
         states = x_state_from_params(params)
     diagonal = pi_a(states).value
-    optimized = np.array([opt.value for opt in optimized_discord_2q(states)])
+    optimized = _optimized_2q(states)[0]
     above = optimized > diagonal + UPPER_BOUND_TOL
     if above.any():
         i = int(np.argmax(above))

@@ -185,16 +185,17 @@ def check_density_spectrum(vals: np.ndarray, what: str = "state") -> np.ndarray:
 
     No eigenvalue may lie below -EIG_FLOOR_TOL and the eigenvalues must sum
     to 1 within TRACE_TOL. ``what`` names the matrix in the message, together
-    with the first failing row of a stack. The spectrum is returned as it is.
+    with the first failing row of a stack. Each test is written so that a
+    NaN fails it. The spectrum is returned as it is.
     """
     lowest = vals[..., 0]
-    if lowest.min(initial=0.0) < -EIG_FLOOR_TOL:
-        label, idx = first_bad_row(what, lowest < -EIG_FLOOR_TOL)
-        raise NotDensityMatrix(f"{label} has negative eigenvalue {lowest[idx]:.3e}")
+    if not (lowest >= -EIG_FLOOR_TOL).all():
+        label, idx = first_bad_row(what, ~(lowest >= -EIG_FLOOR_TOL))
+        negative = "negative " if lowest[idx] < 0 else ""  # or NaN
+        raise NotDensityMatrix(f"{label} has {negative}eigenvalue {lowest[idx]:.3e}")
     tr = vals.sum(axis=-1)
-    off = np.abs(tr - 1.0)
-    if off.max(initial=0.0) > TRACE_TOL:
-        label, idx = first_bad_row(what, off > TRACE_TOL)
+    if not (np.abs(tr - 1.0) <= TRACE_TOL).all():
+        label, idx = first_bad_row(what, ~(np.abs(tr - 1.0) <= TRACE_TOL))
         raise NotDensityMatrix(f"{label} trace {float(tr[idx])!r} != 1")
     return vals
 

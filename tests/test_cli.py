@@ -204,11 +204,9 @@ class TestExperimentCommand:
         assert "eps = 0.001" in err and "gap" in err
 
     def test_xstate_upper_bound_violation_exits_4(self, tmp_path, capsys, monkeypatch):
-        from diagdiscord.discord import OptimizedDiscordResult
-
         monkeypatch.setattr(
-            ex, "optimized_discord_2q",
-            lambda states: [OptimizedDiscordResult(value=10.0, theta=0.0, phi=0.0)] * len(states),
+            ex, "_optimized_2q",
+            lambda states: (np.full(len(states), 10.0), None, None),
         )
         code = cli.main([
             "experiment", "xstate", "--samples", "2", "--seed", "1",

@@ -11,9 +11,16 @@ from diagdiscord.errors import (
     DegenerateMarginal,
     DimensionMismatch,
     InvalidP,
+    NotDensityMatrix,
     OutOfDomain,
 )
-from diagdiscord.linalg import relative_entropy, spectrum_entropy, von_neumann_entropy
+from diagdiscord.linalg import (
+    EIG_FLOOR_TOL,
+    block_spectrum,
+    relative_entropy,
+    spectrum_entropy,
+    von_neumann_entropy,
+)
 from diagdiscord.states import blocks_a
 from helpers import (
     bell_state,
@@ -52,6 +59,17 @@ def explicit_dephase(rho, v0):
         p = np.kron(np.outer(v, v.conj()), np.eye(2))
         out += p @ rho @ p
     return out
+
+
+def _eager_pi_a(state, basis):
+    """The dephased state and the value, built at once: the reference for ``PiResult``."""
+    d_a, d_b = state.dim_a, state.dim_b
+    blocks = blocks_a(state.rho, d_a, d_b, basis)
+    rho = st.from_blocks_a(basis, blocks)
+    dephased = st.BipartiteState(
+        (rho + rho.conj().swapaxes(-1, -2)) / 2.0, d_a, d_b, _spectrum=block_spectrum(blocks)
+    )
+    return dephased, dd.entropy_gain(state, dephased)
 
 
 class TestPiA:
@@ -129,6 +147,51 @@ class TestPiA:
         res = dd.pi_a(bell_state(), optimize_degenerate=True)
         assert res.degenerate
         assert von_neumann_entropy(res.dephased.rho) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("d_a", [2, 3, 4])
+    @pytest.mark.parametrize("d_b", [1, 2, 3])
+    def test_lazy_dephased_state_equals_the_eager_one(self, d_a, d_b):
+        rng = np.random.default_rng([26, d_a, d_b])
+        rhos = np.stack(
+            [random_density(rng, d_a * d_b) for _ in range(5)]
+            + [degenerate_marginal_state(rng, d_a, d_b).rho]
+        )
+        for rows in (rhos[0], rhos[:5], rhos, rhos[:0]):
+            state = st.BipartiteState(rows, d_a, d_b)
+            res = dd.pi_a(state, optimize_degenerate=True)
+            dephased, value = _eager_pi_a(state, res.basis_used)
+            assert res.dephased.rho.tobytes() == dephased.rho.tobytes()
+            assert res.dephased.spectrum.tobytes() == dephased.spectrum.tobytes()
+            assert np.asarray(res.value).tobytes() == np.asarray(value).tobytes()
+            assert res.dephased is res.dephased
+
+    def test_negative_block_spectrum_raises_before_the_state_is_built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(dd, "from_blocks_a", lambda *args: built.append(args))
+
+        def below_floor(blocks):
+            vals = block_spectrum(blocks)
+            vals[1:, 0] = -2.0 * EIG_FLOOR_TOL
+            return vals
+
+        monkeypatch.setattr(dd, "block_spectrum", below_floor)
+        states = st.BipartiteState(
+            np.stack([random_density(np.random.default_rng(k), 6) for k in range(3)]), 2, 3
+        )
+        with pytest.raises(NotDensityMatrix, match="state row 1 has negative eigenvalue"):
+            dd.pi_a(states)
+        assert built == []
+
+    def test_experiments_build_no_dephased_matrix(self, monkeypatch):
+        calls = []
+        for module in (st, dd):
+            monkeypatch.setattr(
+                module, "from_blocks_a",
+                lambda *args, f=module.from_blocks_a: (calls.append(1), f(*args))[1],
+            )
+        ex.run_monotonicity("fig2a", 50, 23)
+        ex.run_xstate_comparison(20, 7)
+        assert calls == []
 
 
 class TestDiagonalDiscord:
@@ -815,6 +878,16 @@ class TestXMinimizers:
 
 
 class TestOptimizedDiscord:
+    def test_arrays_equal_the_result_objects(self):
+        rng = np.random.default_rng(27)
+        rhos = [random_density(rng, 4) for _ in range(4)]
+        rhos += [st.x_state_from_params(st.sample_x_params(rng)).rho for _ in range(4)]
+        states = st.BipartiteState(np.stack(rhos), 2, 2)
+        results = dd.optimized_discord_2q(states)
+        for got, name in zip(dd._optimized_2q(states), ("value", "theta", "phi")):
+            want = np.array([getattr(r, name) for r in results])
+            assert got.tobytes() == want.tobytes()
+
     def test_classical_quantum_zero_at_eigenbasis(self):
         rng = np.random.default_rng(15)
         s = st.classical_quantum_state(

@@ -34,6 +34,9 @@ class _MixedFirstDraw:
         out, self._first = self._first[:n], self._first[n:]
         return out.reshape(size)
 
+    def standard_normal(self, out):
+        out[...] = self.normal(size=out.shape)
+
 
 class TestMonotonicity:
     def test_identity_channel_changes_nothing(self):
@@ -91,6 +94,17 @@ class TestMonotonicity:
         assert (resampled, degenerate) == {
             "fig2a": (0, 0), "depolarizing": (0, 8), "redrawn": (2, 0)
         }[case]
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_buffered_draws_equal_per_sample_normal_arrays(self, rank):
+        # the stack's normals, with the sign of an exact zero counted
+        z = np.empty((600, 2, 4, rank))
+        for k, rng in enumerate(ex.sample_rngs(20171017, range(600))):
+            rng.standard_normal(out=z[k])
+        want = np.stack([
+            rng.normal(size=(2, 4, rank)) for rng in ex.sample_rngs(20171017, range(600))
+        ])
+        assert np.array_equal(z.view(np.uint64), want.view(np.uint64))
 
     def test_stack_size_does_not_change_the_record(self, monkeypatch):
         whole = ex.run_monotonicity("fig2b", samples=20, seed=24)

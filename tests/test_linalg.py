@@ -272,6 +272,24 @@ class TestVonNeumannEntropy:
             la.von_neumann_entropy(np.diag([1.1, -0.1]))
 
 
+class TestCheckDensitySpectrum:
+    @pytest.mark.parametrize("vals", [[math.nan, 0.5, 0.5], [0.5, 0.5, math.nan]])
+    def test_nan_fails(self, vals):
+        with pytest.raises(NotDensityMatrix, match="nan"):
+            la.check_density_spectrum(np.array(vals))
+
+    @pytest.mark.parametrize("entry", [0, -1])
+    def test_nan_names_the_first_bad_row_of_a_stack(self, entry):
+        vals = np.tile([0.25, 0.75], (5, 1))
+        vals[3, entry] = vals[4, entry] = math.nan
+        with pytest.raises(NotDensityMatrix, match="state row 3 "):
+            la.check_density_spectrum(vals)
+
+    def test_a_density_spectrum_is_returned_as_it_is(self):
+        vals = np.array([[-1e-11, 1.0 + 1e-11], [0.25, 0.75]])
+        assert la.check_density_spectrum(vals) is vals
+
+
 def _masked_xlogx(x):
     """x ln x with the mask on every entry: the form xlogx must equal bit for bit."""
     with np.errstate(invalid="ignore"):  # -inf * 0

@@ -247,6 +247,26 @@ def test_stacked_states_and_pi_a_equal_their_rows(seed, shape):
 
 
 @SETTINGS
+@given(seed=SEEDS, shape=STACKS, single=hs.booleans())
+def test_value_is_the_entropy_gain_of_the_lazy_dephased_state(seed, shape, single):
+    d_a, d_b, n = shape
+    rhos = _random_stack(np.random.default_rng(seed), d_a * d_b, n)
+    states = st.BipartiteState(rhos[0] if single else rhos, d_a, d_b)
+    assume(not np.any(states.marginal_eig.degenerate))
+    res = dd.pi_a(states)
+    marginals = dd._marginal_entropies(states)
+    # the mutual-information form as it read the dephased state's entropy
+    via_mi = np.maximum(
+        np.maximum(marginals - states.entropy, 0.0)
+        - np.maximum(marginals - res.dephased.entropy, 0.0),
+        0.0,
+    )
+    gain = dd.entropy_gain(states, res.dephased)
+    assert np.asarray(res.value).tobytes() == np.asarray(gain).tobytes()
+    assert np.asarray(dd.diagonal_discord_via_mi(states)).tobytes() == np.asarray(via_mi).tobytes()
+
+
+@SETTINGS
 @given(seed=SEEDS, shape=STACKS, where=hs.floats(0.0, 1.0, exclude_max=True))
 def test_a_non_density_row_is_named(seed, shape, where):
     d_a, d_b, n = shape
