@@ -143,14 +143,14 @@ def _eig_2x2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hermitian_eig(m) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix (..., d, d) with a fixed phase convention.
+    """Eigendecomposition of a Hermitian matrix (..., d, d).
 
-    Each eigenvector is rescaled so that its largest-magnitude entry is real
-    and positive, which makes the output deterministic for identical input
-    bits. 2x2 matrices take the closed form of ``_eig_2x2``: eigenvalues
-    within about 1.5 eps |M| of the exact ones and V diag(vals) V^dag within
-    a few eps |M| of M; larger ones go to LAPACK's eigh. Every row of a stack
-    equals the decomposition of that matrix alone, bit for bit.
+    2x2 matrices take the closed form of ``_eig_2x2``: eigenvalues within
+    about 1.5 eps |M| of the exact ones and V diag(vals) V^dag within a few
+    eps |M| of M; larger ones go to LAPACK's eigh. Each eigenvector keeps
+    the phase its solver returns: M fixes only the projector |v><v| of a
+    simple eigenvalue. Every row of a stack equals the decomposition of
+    that matrix alone, bit for bit.
     """
     m = np.asarray(m, dtype=complex)
     _check_hermitian(m, "matrix", NotHermitian)
@@ -161,13 +161,6 @@ def hermitian_eig(m) -> SpectralDecomposition:
             vals, vecs = np.linalg.eigh(m)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(str(exc)) from exc
-    pivot_row = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
-    pivot = np.take_along_axis(vecs, pivot_row, axis=-2)
-    # hypot, not np.abs: it rounds as the scalar abs() of a complex does
-    size = np.hypot(pivot.real, pivot.imag)
-    nonzero = size > 0.0
-    vecs = vecs * np.where(nonzero, pivot.conj() / np.where(nonzero, size, 1.0), 1.0)
-
     min_gap = np.diff(vals, axis=-1).min(axis=-1, initial=math.inf)
     degenerate = min_gap < DEGENERACY_TOL
     if vals.ndim == 1:

@@ -18,6 +18,21 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 EPS = np.finfo(float).eps
 
 
+def _projectors(v):
+    """The projectors v_k v_k^dag onto the columns of v, stacked along k."""
+    return np.einsum("ik,jk->kij", v, v.conj())
+
+
+def _overlaps(v, w):
+    """|<v_k|w_k>| for each column k: 1 when the columns differ only by phases."""
+    return np.abs(np.einsum("ik,ik->k", v.conj(), w))
+
+
+def _assert_units_up_to_sign(vecs, unit):
+    """Each column of vecs (of each row of a stack) is exactly +-that column of unit."""
+    assert (np.all(vecs == unit, axis=-2) | np.all(vecs == -unit, axis=-2)).all()
+
+
 class TestHermitianEig:
     def test_identity_is_fully_degenerate(self):
         dec = la.hermitian_eig(np.eye(2, dtype=complex))
@@ -41,36 +56,31 @@ class TestHermitianEig:
         assert abs(minus.conj() @ dec.eigenvectors[:, 0]) == pytest.approx(1.0)
         assert abs(plus.conj() @ dec.eigenvectors[:, 1]) == pytest.approx(1.0)
 
-    def test_phase_convention_largest_entry_real_positive(self):
+    def test_columns_span_lapacks_eigenvectors(self):
+        # a column is fixed only up to its phase: it must give LAPACK's
+        # projector, so that |<v_k|w_k>| = 1
         rng = np.random.default_rng(0)
         for _ in range(20):
             m = random_hermitian(rng, 4)
-            dec = la.hermitian_eig(m)
-            for k in range(4):
-                col = dec.eigenvectors[:, k]
-                pivot = col[int(np.argmax(np.abs(col)))]
-                assert pivot.imag == pytest.approx(0.0, abs=1e-12)
-                assert pivot.real > 0
+            v = la.hermitian_eig(m).eigenvectors
+            w = np.linalg.eigh(m)[1]
+            assert np.abs(_projectors(v) - _projectors(w)).max() <= 1e-12
+            assert np.abs(_overlaps(v, w) - 1.0).max() <= 1e-12
 
-    def test_phase_convention_equals_the_column_loop(self):
-        # the vectorized phase convention, on one matrix and on a stack,
-        # rescales each column exactly as a loop over the columns does; 2x2
-        # matrices take the closed form, not LAPACK, so their columns match
-        # LAPACK's phase-fixed ones to round-off
+    def test_stack_rows_equal_each_matrix_alone(self):
+        # on one matrix and on a stack the columns are LAPACK's, bit for bit;
+        # 2x2 matrices take the closed form, not LAPACK, so their columns
+        # span LAPACK's to round-off
         rng = np.random.default_rng(12)
         for d in range(1, 9):
             stack = np.stack([random_hermitian(rng, d) for _ in range(5)])
             dec = la.hermitian_eig(stack)
             for m, vecs in zip(stack, dec.eigenvectors):
                 expected = np.linalg.eigh(m)[1]
-                for k in range(d):
-                    col = expected[:, k]
-                    pivot = col[int(np.argmax(np.abs(col)))]
-                    if abs(pivot) > 0.0:
-                        expected[:, k] = col * (pivot.conjugate() / abs(pivot))
                 if d == 2:
                     assert np.array_equal(la.hermitian_eig(m).eigenvectors, vecs)
-                    assert np.abs(vecs - expected).max() <= 4 * EPS
+                    assert np.abs(_projectors(vecs) - _projectors(expected)).max() <= 8 * EPS
+                    assert np.abs(_overlaps(vecs, expected) - 1.0).max() <= 4 * EPS
                     continue
                 assert np.array_equal(vecs, expected)
                 assert np.array_equal(la.hermitian_eig(m).eigenvectors, expected)
@@ -117,7 +127,7 @@ class TestHermitianEig:
 
 
 class TestTwoByTwoEig:
-    """hermitian_eig's closed form for 2x2 matrices, against LAPACK and the column loop."""
+    """hermitian_eig's closed form for 2x2 matrices, against LAPACK's eigh."""
 
     @staticmethod
     def _check(stack):
@@ -137,17 +147,15 @@ class TestTwoByTwoEig:
             assert np.abs(vals - ref_vals).max() <= 8 * EPS * norm
             assert np.abs((v * vals) @ v.conj().T - m).max() <= 1e-15 * norm
             assert np.abs(v.conj().T @ v - np.eye(2)).max() <= 1e-15
-            for k in range(2):
-                pivot = v[int(np.argmax(np.abs(v[:, k]))), k]
-                assert abs(pivot.imag) <= EPS and pivot.real > 0.0
             gap = ref_vals[1] - ref_vals[0]
             assert row.degenerate == (gap < la.DEGENERACY_TOL)
             assert row.degenerate_blocks == (((0, 2),) if row.degenerate else ())
             if gap > 0.0:
-                # eigenvectors are only defined to about eps |M| / gap
-                proj = np.einsum("ik,jk->kij", v, v.conj())
-                ref_proj = np.einsum("ik,jk->kij", ref_vecs, ref_vecs.conj())
-                assert np.abs(proj - ref_proj).max() <= 16 * EPS * norm / gap
+                # eigenvectors are only defined to about eps |M| / gap, and
+                # each only up to its phase
+                bound = 16 * EPS * norm / gap
+                assert np.abs(_projectors(v) - _projectors(ref_vecs)).max() <= bound
+                assert np.abs(_overlaps(v, ref_vecs) - 1.0).max() <= bound
         return dec
 
     @pytest.mark.parametrize("kind", ["random", "rank-1"])
@@ -167,13 +175,13 @@ class TestTwoByTwoEig:
             dec = self._check(np.diag([a, d]).astype(complex))
             assert np.array_equal(dec.eigenvalues, sorted(diag))
             unit = np.eye(2) if a < d else np.eye(2)[::-1]
-            assert np.array_equal(dec.eigenvectors, unit)
+            _assert_units_up_to_sign(dec.eigenvectors, unit)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.0, -2.0])
     def test_equal_diagonal_and_zero_off_diagonal(self, alpha):
         dec = self._check(alpha * np.eye(2, dtype=complex))
         assert np.array_equal(dec.eigenvalues, [alpha, alpha])
-        assert np.array_equal(dec.eigenvectors, np.eye(2))
+        _assert_units_up_to_sign(dec.eigenvectors, np.eye(2))
         assert dec.min_gap == 0.0 and dec.degenerate
         assert dec.degenerate_blocks == ((0, 2),)
 
@@ -192,7 +200,8 @@ class TestTwoByTwoEig:
             [[0.5, -0.0j], [0.0j, -0.0]],
         ], dtype=complex))
         assert np.array_equal(dec.eigenvalues, [[0.0, 0.0], [0.0, 0.5], [0.0, 0.5]])
-        assert np.array_equal(dec.eigenvectors, [np.eye(2), np.eye(2), np.eye(2)[::-1]])
+        units = np.array([np.eye(2), np.eye(2), np.eye(2)[::-1]])
+        _assert_units_up_to_sign(dec.eigenvectors, units)
 
     def test_largest_finite_scale(self):
         m = np.array([[1e300, 1e300], [1e300, 1e300]], dtype=complex)

@@ -4,6 +4,7 @@ Hypothesis runs derandomized, so the suite draws the same examples on
 every run.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from diagdiscord.errors import DegenerateMarginal, NotDensityMatrix
 from diagdiscord.linalg import hermitian_eig, von_neumann_entropy
 from helpers import (
     conjugate_a,
+    degenerate_marginal_state,
     haar,
     random_density,
     reference_qubit_mu_commuting_condition,
@@ -355,3 +357,55 @@ def test_lemma1_condition_equals_the_two_loop_formula(seed, n):
     basis = haar(rng, 2)
     got = ch.qubit_mu_commuting_condition(channel, basis)
     assert abs(got - reference_qubit_mu_commuting_condition(channel, basis)) <= 1e-15
+
+
+# rho_A fixes each eigenvector only up to a phase, so no value may depend on
+# the phase the solver returns. The p = 1 and p = inf degenerate searches are
+# left out: their grid and Nelder-Mead steps start from the returned basis.
+
+PHASE_DIMS = [(2, 2), (3, 2), (2, 3), (4, 2)]
+
+
+def _rephased(state, rng):
+    """A fresh copy of ``state`` whose cached rho_A eigenvectors carry random phases."""
+    dec = state.marginal_eig
+    phases = np.exp(2j * math.pi * rng.random(dec.eigenvalues.shape))[..., None, :]
+    fresh = st.BipartiteState(state.rho, state.dim_a, state.dim_b)
+    fresh.__dict__["marginal_eig"] = dataclasses.replace(
+        dec, eigenvectors=dec.eigenvectors * phases
+    )
+    return fresh
+
+
+def _assert_phase_invariant(state, measures, rng, tol=1e-14):
+    want = [np.asarray(m(state)) for m in measures]
+    rephased = _rephased(state, rng)
+    assert not np.array_equal(rephased.marginal_eig.eigenvectors, state.marginal_eig.eigenvectors)
+    for m, w in zip(measures, want):
+        assert np.abs(np.asarray(m(rephased)) - w).max() <= tol
+
+
+@pytest.mark.parametrize("d_a, d_b", PHASE_DIMS)
+def test_values_do_not_depend_on_the_eigenvector_phases(d_a, d_b):
+    rng = np.random.default_rng([27, d_a, d_b])
+    rho = np.stack([random_density(rng, d_a * d_b) for _ in range(50)])
+    measures = [
+        lambda s: dd.pi_a(s).value,
+        *(lambda s, p=p: dd.generalized_discord(s, p) for p in (1.0, 2.0, math.inf)),
+    ]
+    if (d_a, d_b) == (2, 2):
+        measures.append(lambda s: dd._optimized_2q(s)[0])
+    for _ in range(4):
+        _assert_phase_invariant(st.BipartiteState(rho, d_a, d_b), measures, rng)
+
+
+@pytest.mark.parametrize("d_a, d_b", PHASE_DIMS)
+def test_entropy_and_p2_searches_do_not_depend_on_the_eigenvector_phases(d_a, d_b):
+    rng = np.random.default_rng([28, d_a, d_b])
+    measures = [
+        lambda s: dd.pi_a(s, optimize_degenerate=True).value,
+        lambda s: dd.generalized_discord(s, 2.0, optimize_degenerate=True),
+    ]
+    state = degenerate_marginal_state(rng, d_a, d_b)
+    assert state.marginal_eig.degenerate
+    _assert_phase_invariant(state, measures, rng)
