@@ -123,14 +123,15 @@ class KrausChannel(QuantumChannel):
         ops = tuple(np.asarray(k, dtype=complex) for k in self.ops)
         if not ops:
             raise InvalidChannel("need at least one Kraus operator")
-        d = ops[0].shape[0]
         for i, k in enumerate(ops):
-            if k.shape != (d, d):
+            if k.ndim != 2 or k.shape[0] != k.shape[1]:
+                raise InvalidChannel(f"Kraus operator K_{i} is not square")
+            if k.shape != ops[0].shape:
                 raise DimensionMismatch("Kraus operators have mixed shapes")
             if not np.isfinite(k).all():
                 raise InvalidChannel(f"Kraus operator K_{i} has non-finite entries")
         total = sum(k.conj().T @ k for k in ops)
-        dev = np.max(np.abs(total - np.eye(d)))
+        dev = np.max(np.abs(total - np.eye(len(ops[0]))))
         if dev > COMPLETENESS_TOL:
             raise InvalidChannel(f"sum K^dag K - I deviates by {dev:.3e}")
         object.__setattr__(self, "ops", ops)

@@ -602,6 +602,8 @@ def state_from_text(text: str) -> BipartiteState | MultipartiteState:
         raise ParseError("need at least two subsystem dimensions")
     n = math.prod(dims)
     m = _parse_matrix_rows(lines[1:], n, "state")
+    if len(lines) > n + 1:
+        raise ParseError(f"trailing data after the {n} state rows: {lines[n + 1]!r}")
     if len(dims) == 2:
         return BipartiteState(m, dims[0], dims[1])
     return MultipartiteState(m, dims)

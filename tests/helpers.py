@@ -143,10 +143,10 @@ def degenerate_marginal_state(rng, d_a, d_b, rank=None):
 
 
 def reference_optimize_degenerate_basis(dec, objective):
-    """discord._optimize_degenerate_basis with its former scalar grid loop.
+    """discord._optimize_degenerate_basis on 2-column blocks, with its former scalar grid loop.
 
     Every grid point is one objective call on one basis, rotated by scalar
-    arithmetic; the package scans each block's grid as one stacked call and
+    arithmetic; the package scans each pair's grid as one stacked call and
     must return the same basis bit for bit.
     """
     from scipy.optimize import minimize
@@ -188,6 +188,34 @@ def reference_optimize_degenerate_basis(dec, objective):
     if res.fun <= objective(_rotate_blocks(dec.eigenvectors, blocks, angles)):
         angles = list(res.x)
     return _rotate_blocks(dec.eigenvectors, blocks, angles)
+
+
+def reference_block_minimum(basis, start, stop, objective, rng, starts):
+    """Least ``objective(basis')`` over basis' = basis with columns start:stop times U in U(m).
+
+    Multi-start BFGS on U = exp(iH), H Hermitian with m^2 real parameters
+    (m = stop - start), from H = 0 and ``starts - 1`` Gaussian H drawn from
+    ``rng``; the other columns of ``basis`` stay.
+    """
+    from scipy.linalg import expm
+    from scipy.optimize import minimize
+
+    m = stop - start
+    upper = np.triu_indices(m, 1)
+    n_off = len(upper[0])
+
+    def rotated(x):
+        h = np.diag(x[2 * n_off :]).astype(complex)
+        h[upper] = x[:n_off] + 1j * x[n_off : 2 * n_off]
+        out = basis.copy()
+        out[:, start:stop] = basis[:, start:stop] @ expm(1j * (h + np.triu(h, 1).conj().T))
+        return out
+
+    best = math.inf
+    for k in range(starts):
+        x0 = rng.normal(size=m * m) if k else np.zeros(m * m)
+        best = min(best, minimize(lambda x: float(objective(rotated(x))), x0, method="BFGS").fun)
+    return best
 
 
 def _h(x):
@@ -472,32 +500,17 @@ def reference_mono_max_increase(channel, trials, rng, d_b=2):
     ``pi_a`` is read from ``experiments`` at call time, so a patched one
     acts on the reference and the package alike.
     """
-    import math
-
     from diagdiscord import experiments as ex
-    from diagdiscord.errors import DegenerateMarginal, OutOfDomain
     from diagdiscord.states import sample_random_bipartite
 
     pi_a = ex.pi_a
     worst = -math.inf
-    done = 0
-    attempts = trials + ex.MONO_DEGENERATE_BUDGET
-    for _ in range(attempts):
+    for _ in range(trials):
         state = sample_random_bipartite(rng, channel.dim, d_b, channel.dim * d_b)
-        try:
-            before = pi_a(state, optimize_degenerate=True).value
-            after = pi_a(channel.apply_local_a(state), optimize_degenerate=True).value
-        except DegenerateMarginal:
-            continue
+        before = pi_a(state, optimize_degenerate=True).value
+        after = pi_a(channel.apply_local_a(state), optimize_degenerate=True).value
         worst = max(worst, after - before)
-        done += 1
-        if done == trials:
-            return worst
-    raise OutOfDomain(
-        f"only {done} of {attempts} sampled ({channel.dim},{d_b}) states kept a "
-        f"marginal eigenbasis pi_a can optimize through the {type(channel).__name__} "
-        f"(acceptance {done / attempts:.3g}); need trials = {trials}"
-    )
+    return worst
 
 
 #: channels the scan references are checked on: the four random classes of

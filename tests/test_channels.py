@@ -41,6 +41,13 @@ class TestConstructors:
         with pytest.raises(InvalidChannel):
             ch.KrausChannel((np.eye(2) * 0.5,))
 
+    @pytest.mark.parametrize("op", [1.0, np.ones(2), np.ones((2, 3)), np.ones((1, 2, 2))])
+    def test_kraus_operator_that_is_not_a_square_matrix_is_rejected(self, op):
+        with pytest.raises(InvalidChannel, match="K_0 is not square"):
+            ch.KrausChannel((op,))
+        with pytest.raises(InvalidChannel, match="K_1 is not square"):
+            ch.KrausChannel((np.eye(2), op))
+
     def test_mixed_unitary_distribution(self):
         with pytest.raises(InvalidDistribution):
             ch.MixedUnitaryChannel(np.array([0.5, 0.6]), (np.eye(2), np.eye(2)))

@@ -14,14 +14,22 @@ from diagdiscord import cli
 from diagdiscord import experiments as ex
 from diagdiscord import states as st
 from diagdiscord import errors
-from diagdiscord.errors import DegenerateMarginal
-from helpers import bell_state, random_density
+from helpers import bell_state, marginal_filtered_state, random_density
 
 
 @pytest.fixture
 def bell_file(tmp_path):
     path = tmp_path / "bell.txt"
     st.save_state(bell_state(), path)
+    return str(path)
+
+
+@pytest.fixture
+def qutrit_mixed_file(tmp_path):
+    """A 3 x 2 state whose rho_A is I/3: one degenerate block of 3 columns."""
+    state = marginal_filtered_state(np.random.default_rng(3), 3, 2, np.ones(3) / 3.0)
+    path = tmp_path / "qutrit.txt"
+    st.save_state(state, path)
     return str(path)
 
 
@@ -68,6 +76,25 @@ class TestDiscordCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert float(out.strip()) == pytest.approx(1 / np.sqrt(2), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--mode", "diagonal"], ["--mode", "generalized", "--p", "2"]],
+        ids=["diagonal", "p2"],
+    )
+    def test_threefold_degenerate_marginal_is_optimized(self, qutrit_mixed_file, capsys, argv):
+        assert cli.main(["discord", qutrit_mixed_file, *argv, "--optimize-degenerate"]) == 0
+        assert float(capsys.readouterr().out.strip().splitlines()[0]) > 0.0
+
+    @pytest.mark.parametrize("p", ["1", "inf"])
+    def test_threefold_block_is_refused_at_p1_and_pinf(self, qutrit_mixed_file, capsys, p):
+        argv = ["discord", qutrit_mixed_file, "--mode", "generalized", "--p", p,
+                "--optimize-degenerate"]
+        assert cli.main(argv) == cli.EXIT_DEGENERATE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "block of dimension 3" in captured.err and f"p = {float(p)}" in captured.err
+        assert "degenerate blocks: [(0, 3)]" in captured.err
 
     @pytest.mark.parametrize("p, want", [("1", "1.000000000000"), ("inf", "0.500000000000")])
     def test_generalized_nonsmooth_norms_with_degeneracy_optimization(
@@ -134,6 +161,12 @@ class TestDiscordCommand:
         path = tmp_path / "garbage.txt"
         path.write_text("not a state\n")
         assert cli.main(["discord", str(path)]) == cli.EXIT_PARSE
+
+    def test_trailing_rows_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "trailing.txt"
+        path.write_text("dims 1 2\n0.5 0 0 0\n0 0 0.5 0\n1 0 0 0\n")
+        assert cli.main(["discord", str(path)]) == cli.EXIT_PARSE
+        assert "trailing data" in capsys.readouterr().err
 
     def test_invariant_violation_exit_4(self, tmp_path, capsys):
         path = tmp_path / "nontrace.txt"
@@ -215,28 +248,23 @@ class TestExperimentCommand:
         assert code == cli.EXIT_INVARIANT
         assert "exceeds diagonal discord" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("loop", ["x_params", "xstate_degenerate", "mono_degenerate"])
+    @pytest.mark.parametrize("loop", ["x_params", "xstate_degenerate"])
     def test_rejection_loop_that_never_accepts_exits_4(
         self, loop, tmp_path, capsys, monkeypatch
     ):
-        xstate = ["experiment", "xstate", "--samples", "1"]
-        classify = ["experiment", "classify-sweep", "--d-a", "2", "--per-class", "1",
-                    "--trials", "2"]
         if loop == "x_params":
             monkeypatch.setattr(
                 st, "_x_candidate_ok", lambda r: np.zeros(len(r), dtype=bool)
             )
-            args, expected = xstate, "valid X-state"
-        elif loop == "xstate_degenerate":
+            expected = "valid X-state"
+        else:
             mixed = st.BipartiteState(np.eye(4) / 4, 2, 2)
             monkeypatch.setattr(ex, "x_state_from_params", lambda params: mixed)
-            args, expected = xstate, "nondegenerate A-marginal"
-        else:
-            def degenerate(*a, **k):
-                raise DegenerateMarginal("degenerate")
-            monkeypatch.setattr(ex, "pi_a", degenerate)
-            args, expected = classify, "acceptance 0"
-        code = cli.main(args + ["--seed", "1", "--output-dir", str(tmp_path / "o")])
+            expected = "nondegenerate A-marginal"
+        code = cli.main([
+            "experiment", "xstate", "--samples", "1", "--seed", "1",
+            "--output-dir", str(tmp_path / "o"),
+        ])
         assert code == cli.EXIT_INVARIANT
         assert expected in capsys.readouterr().err
 

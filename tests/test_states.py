@@ -470,6 +470,13 @@ class TestSerialization:
         with pytest.raises(ParseError):
             st.state_from_text("dims 2 2\n1 0\n")
 
+    def test_trailing_rows_are_rejected(self):
+        text = "dims 1 2\n0.5 0 0 0\n0 0 0.5 0\n1 0 0 0\n"
+        with pytest.raises(ParseError, match="trailing data after the 2 state rows: '1 0 0 0'"):
+            st.state_from_text(text)
+        written = st.state_to_text(st.BipartiteState(np.eye(2) / 2.0, 1, 2))
+        assert np.array_equal(st.state_from_text(written + "\n\n").rho, np.eye(2) / 2.0)
+
     def test_bad_number(self):
         text = st.state_to_text(bell_state()).replace("0.5", "zap", 1)
         with pytest.raises(ParseError):
