@@ -54,6 +54,8 @@ def _check_unitary(u: np.ndarray, what: str) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise InvalidChannel(f"{what} is not square")
+    if not u.size:
+        raise InvalidChannel(f"{what} is empty")
     if not np.isfinite(u).all():
         raise InvalidChannel(f"{what} has non-finite entries")
     dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
@@ -126,6 +128,8 @@ class KrausChannel(QuantumChannel):
         for i, k in enumerate(ops):
             if k.ndim != 2 or k.shape[0] != k.shape[1]:
                 raise InvalidChannel(f"Kraus operator K_{i} is not square")
+            if not k.size:
+                raise InvalidChannel(f"Kraus operator K_{i} is empty")
             if k.shape != ops[0].shape:
                 raise DimensionMismatch("Kraus operators have mixed shapes")
             if not np.isfinite(k).all():

@@ -353,14 +353,10 @@ def _grid_directions(n_theta: int, n_phi: int) -> np.ndarray:
 # n and -n are one measurement, so the theta <= pi/2 half of a 64x32 grid
 # (theta_0 .. theta_31 at every phi) holds one of each antipodal pair.
 _HALF_GRID = _grid_directions(64, 32)[: 32 * 32]
-_THETA, _PHI = (g.reshape(64, 32) for g in _angle_grid(64, 32))
-#: sin and cos of the half grid's thetas as columns (32, 1) and of its phis as
-#: rows (32,): direction (theta_i, phi_j) is row 32 i + j of _HALF_GRID
-_SIN_T, _COS_T = np.sin(_THETA[:32, :1]), np.cos(_THETA[:32, :1])
-_SIN_P, _COS_P = np.sin(_PHI[0]), np.cos(_PHI[0])
-_SIN2_T, _SINCOS_T = _SIN_T**2, _SIN_T * _COS_T
-#: states evaluated on the half grid at once: the nine (16, 32, 32) chunk buffers stay in cache
-_GRID_CHUNK = 16
+_HALF_THETAS = np.linspace(0.0, math.pi, 64)[:32]
+#: states scored on the half grid at once: 4 to 12 cost about the same per
+#: state, 16 over twice as much, once a chunk's terms outgrow the cache
+_GRID_CHUNK = 8
 # glibc raises its mmap threshold to the largest mmapped block freed so far.
 # Freeing this 2 MiB one keeps arrays of 128 KiB (the default) to 2 MiB on the heap,
 # mapped across calls, such as monotonicity's 600 x 4x4 complex stacks. Else they
@@ -426,49 +422,16 @@ def _objective(n: np.ndarray, a, b, t) -> np.ndarray:
 def _grid_minimizers(a, b, t) -> np.ndarray:
     """Each state's least direction (k, 3) on the theta <= pi/2 half grid.
 
-    With |b +- T^T n|^2 = |b|^2 +- 2 n.(Tb) + n^T M n, M = T T^T, ln 2 times
-    the objective is sum_+- [x ln x (p_+-) - x ln x (lam_+-,+) - x ln x
-    (lam_+-,-)]. At n = (sin th cos ph, sin th sin ph, cos th) each form
-    separates into phi profiles and theta columns: a.n = sin th A + cos th a_z
-    with A = a_x cos ph + a_y sin ph, 2 n.(Tb) alike, and n^T M n = sin^2 th P
-    + 2 sin th cos th Q + cos^2 th M_zz with P = M_xx cos^2 ph + 2 M_xy cos ph
-    sin ph + M_yy sin^2 ph and Q = M_xz cos ph + M_yz sin ph. The stack is
-    evaluated _GRID_CHUNK states at a time, each chunk written by ``out=``
-    ufuncs into buffers made once per call. Every product and sum is
-    elementwise, with no BLAS, so a row's bits depend neither on the stack
-    nor on its chunk.
+    ``_conditional_entropy`` scores each chunk of _GRID_CHUNK states at
+    every grid direction; a row's products are its own, so its bits do not
+    depend on the stack or its chunk.
     """
-    tb = t[:, :, 0] * b[:, None, 0] + t[:, :, 1] * b[:, None, 1] + t[:, :, 2] * b[:, None, 2]
-    m = t[:, :, None, 0] * t[:, None, :, 0] + t[:, :, None, 1] * t[:, None, :, 1]
-    m += t[:, :, None, 2] * t[:, None, :, 2]
-    bb = b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1] + b[:, 2] * b[:, 2]
-    a, tb, m = a[:, None, None], 2.0 * tb[:, None, None], m[:, None, None]
-    # (N, 1, 32) phi profiles against (32, 1) theta columns
-    u_phi, s_phi = (x[..., 0] * _COS_P + x[..., 1] * _SIN_P for x in (a, tb))
-    p_phi = m[..., 0, 0] * _COS_P**2 + m[..., 0, 1] * (2.0 * _COS_P * _SIN_P)
-    p_phi += m[..., 1, 1] * _SIN_P**2
-    q_phi = m[..., 0, 2] * (2.0 * _COS_P) + m[..., 1, 2] * (2.0 * _SIN_P)
-    u_theta, s_theta = _COS_T * a[..., 2], _COS_T * tb[..., 2]
-    r_theta = _COS_T**2 * m[..., 2, 2] + bb[:, None, None]
     best = np.empty(len(a), dtype=np.intp)
-    bufs = np.empty((9, min(len(a), _GRID_CHUNK), 32, 32))
     for start in range(0, len(a), _GRID_CHUNK):
         chunk = slice(start, start + _GRID_CHUNK)
-        u, s, rr, q, r, x, h, term, g = bufs[:, : min(_GRID_CHUNK, len(a) - start)]
-        np.add(np.multiply(_SIN_T, u_phi[chunk], out=u), u_theta[chunk], out=u)
-        np.add(np.multiply(_SIN_T, s_phi[chunk], out=s), s_theta[chunk], out=s)
-        np.multiply(_SIN2_T, p_phi[chunk], out=rr)
-        rr += np.multiply(_SINCOS_T, q_phi[chunk], out=x)
-        rr += r_theta[chunk]
-        g.fill(0.0)
-        for plus_minus in (np.add, np.subtract):
-            plus_minus(1.0, u, out=q)
-            np.sqrt(np.maximum(plus_minus(rr, s, out=r), 0.0, out=r), out=r)
-            xlogx(np.multiply(0.5, q, out=x), out=term)
-            term -= xlogx(np.multiply(0.25, np.add(q, r, out=x), out=x), out=h)
-            term -= xlogx(np.multiply(0.25, np.subtract(q, r, out=x), out=x), out=h)
-            g += term
-        best[chunk] = np.argmin(g.reshape(len(g), -1), axis=-1)
+        u = (_HALF_GRID @ a[chunk, :, None])[..., 0]
+        g = _conditional_entropy(u, _HALF_GRID @ t[chunk], b[chunk, None])
+        best[chunk] = np.argmin(g, axis=-1)
     return _HALF_GRID[best]
 
 
@@ -603,7 +566,8 @@ def _x_minimizers(a, b, t):
     rows = np.arange(len(a))
     a_z, b_z, t_z = a[:, 2], b[:, 2], t[:, 2, 2]
     t_p = np.stack([t[:, 0, 0], t[:, 1, 1]])
-    g = _meridian_objective(_THETA[None, :32, :1], a_z, b_z, t_p[:, None], t_z).reshape(64, -1)
+    theta = _HALF_THETAS[None, :, None]
+    g = _meridian_objective(theta, a_z, b_z, t_p[:, None], t_z).reshape(64, -1)
     best = np.argmin(g, axis=0)
     args = (a_z, b_z, t_p[best // 32, rows], t_z)
     sign = np.array([[1.0], [-1.0]])
@@ -632,7 +596,7 @@ def _x_minimizers(a, b, t):
     def value(idx, theta):
         return theta, _meridian_objective(theta, *(x[idx] for x in args))
 
-    theta, f = _newton(_THETA[best % 32, 0], g[best, rows], model, value)
+    theta, f = _newton(_HALF_THETAS[best % 32], g[best, rows], model, value)
     n = np.zeros((len(a), 3))
     n[rows, best // 32], n[:, 2] = np.sin(theta), np.cos(theta)
     return n, f
@@ -651,14 +615,14 @@ def optimized_discord_2q(
     minimized in theta alone, on the phi = 0 and pi/2 meridians
     (``_x_minimizers``). Every other row is evaluated, _GRID_CHUNK states at
     a time, on the theta <= pi/2 half of a 64x32 (theta, phi) direction grid
-    by a closed form in the grid monomials (``_grid_minimizers``); its best
-    grid point is scored by ``_objective`` and refined by projected Newton
-    with the analytic gradient and Hessian (``_newton_refine``). Both
-    refiners stop a state once a convex Newton step can gain only round-off
-    in the objective (``_newton``). The value is the least of the refined
-    point and the marginal eigenbasis n_e = v^dag sigma v, so it never
-    exceeds the grid value, nor the diagonal discord beyond rounding (the
-    two evaluate the eigenbasis by different formulas).
+    (``_grid_minimizers``); its best grid point is scored by ``_objective``
+    and refined by projected Newton with the analytic gradient and Hessian
+    (``_newton_refine``). Both refiners stop a state once a convex Newton
+    step can gain only round-off in the objective (``_newton``). The value
+    is the least of the refined point and the marginal eigenbasis n_e =
+    v^dag sigma v, so it never exceeds the grid value, nor the diagonal
+    discord beyond rounding (the two evaluate the eigenbasis by different
+    formulas).
     theta and phi are the polar angles of the winning n.
 
     ``states`` is a stack (N, 4, 4) of states, or a sequence of single

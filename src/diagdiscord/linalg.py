@@ -233,18 +233,18 @@ def block_spectrum(blocks: np.ndarray) -> np.ndarray:
     return np.sort(vals.reshape(vals.shape[:-2] + (vals.shape[-2] * n,)), axis=-1)
 
 
-def xlogx(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """x ln x elementwise, with 0 for x <= 0, written into ``out`` if given.
+def xlogx(x: np.ndarray) -> np.ndarray:
+    """x ln x elementwise, with 0 for x <= 0.
 
     The result is x * ln(where(x > 0, x, 1)), bit for bit. When every entry
     is positive that is x * ln x, which skips the mask; a NaN fails the
     test and takes the masked path, as does -inf, whose NaN raises no
-    warning. ``out`` must not share memory with ``x``.
+    warning.
     """
     if np.size(x) and np.min(x) > 0.0:
-        return np.multiply(x, np.log(x, out=out), out=out)
+        return x * np.log(x)
     with np.errstate(invalid="ignore"):
-        return np.multiply(x, np.log(np.where(x > 0.0, x, 1.0), out=out), out=out)
+        return x * np.log(np.where(x > 0.0, x, 1.0))
 
 
 def spectrum_entropy(vals: np.ndarray):

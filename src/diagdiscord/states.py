@@ -562,6 +562,8 @@ def _format_matrix_rows(m: np.ndarray) -> list[str]:
 
 
 def _parse_matrix_rows(lines: list[str], n: int, what: str) -> np.ndarray:
+    if n < 1:
+        raise ParseError(f"{what}: dimension {n} is below 1")
     if len(lines) < n:
         raise ParseError(f"{what}: expected {n} matrix rows, got {len(lines)}")
     m = np.empty((n, n), dtype=complex)
@@ -600,6 +602,8 @@ def state_from_text(text: str) -> BipartiteState | MultipartiteState:
         raise ParseError(f"bad dims header: {exc}") from exc
     if len(dims) < 2:
         raise ParseError("need at least two subsystem dimensions")
+    if min(dims) < 1:
+        raise ParseError(f"bad dims header {lines[0].strip()!r}: every dimension must be >= 1")
     n = math.prod(dims)
     m = _parse_matrix_rows(lines[1:], n, "state")
     if len(lines) > n + 1:

@@ -14,6 +14,7 @@ from diagdiscord.errors import (
     InvalidDistribution,
     NotPositiveSemidefinite,
     OutOfRange,
+    ParseError,
 )
 from helpers import (
     bell_state,
@@ -47,6 +48,30 @@ class TestConstructors:
             ch.KrausChannel((op,))
         with pytest.raises(InvalidChannel, match="K_1 is not square"):
             ch.KrausChannel((np.eye(2), op))
+
+    def test_empty_operator_is_rejected(self):
+        empty = np.zeros((0, 0))
+        with pytest.raises(InvalidChannel, match="K_0 is empty"):
+            ch.KrausChannel((empty,))
+        with pytest.raises(InvalidChannel, match="K_1 is empty"):
+            ch.KrausChannel((np.eye(2), empty))
+        with pytest.raises(InvalidChannel, match="U_0 is empty"):
+            ch.MixedUnitaryChannel([1.0], (empty,))
+        with pytest.raises(InvalidChannel, match="W is empty"):
+            ch.IsotropicChannel(0.5, empty)
+        with pytest.raises(InvalidChannel, match="transpose basis is empty"):
+            ch.IsotropicChannel(0.5, np.eye(2), True, empty)
+        with pytest.raises(InvalidChannel, match="preferred basis is empty"):
+            ch.SemiclassicalChannel(empty, ch.amplitude_damping(0.1))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["kraus 0 1", "kraus -1 1", "mixed-unitary 0 1\n1", "isotropic 0 0.5 unitary",
+         "semiclassical 0\nkraus 1 1\n1 0"],
+    )
+    def test_channel_file_dimension_below_1_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="is below 1"):
+            ch.channel_from_text(text + "\n")
 
     def test_mixed_unitary_distribution(self):
         with pytest.raises(InvalidDistribution):

@@ -11,6 +11,7 @@ import pytest
 
 from diagdiscord import channels as ch
 from diagdiscord import cli
+from diagdiscord import discord as dd
 from diagdiscord import experiments as ex
 from diagdiscord import states as st
 from diagdiscord import errors
@@ -68,6 +69,16 @@ class TestDiscordCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert float(out.strip().splitlines()[0]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_optimized_mode_on_a_general_state(self, tmp_path, capsys):
+        path = tmp_path / "ginibre.txt"
+        st.save_state(st.BipartiteState(random_density(np.random.default_rng(29), 4), 2, 2), path)
+        state = st.load_state(path)
+        assert not dd._x_shaped(*dd._bloch_form(state.rho[None]))[0]
+        [want] = dd.optimized_discord_2q([state])
+        assert cli.main(["discord", str(path), "--mode", "optimized2q"]) == 0
+        assert capsys.readouterr().out == f"{want.value:.12f}\n"
+        assert want.value <= dd.pi_a(state).value + 1e-12
 
     def test_generalized_mode(self, bell_file, capsys):
         code = cli.main(
@@ -167,6 +178,13 @@ class TestDiscordCommand:
         path.write_text("dims 1 2\n0.5 0 0 0\n0 0 0.5 0\n1 0 0 0\n")
         assert cli.main(["discord", str(path)]) == cli.EXIT_PARSE
         assert "trailing data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", ["dims -1 2", "dims 0 2", "dims -1 -2"])
+    def test_dimension_below_1_exits_3(self, header, tmp_path, capsys):
+        path = tmp_path / "dims.txt"
+        path.write_text(header + "\n0.5 0 0 0\n0 0 0.5 0\n")
+        assert cli.main(["discord", str(path)]) == cli.EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"parse error: bad dims header '{header}'")
 
     def test_invariant_violation_exit_4(self, tmp_path, capsys):
         path = tmp_path / "nontrace.txt"
@@ -347,6 +365,12 @@ class TestClassifyCommand:
         ch.save_channel(ch.probabilistic_hadamard(), path)
         assert cli.main(["classify", str(path), "--d-b", "0"]) == cli.EXIT_PARSE
         assert "subsystem dimensions (2, 0) must be >= 1" in capsys.readouterr().err
+
+    def test_channel_dimension_below_1_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "k0.txt"
+        path.write_text("kraus 0 1\n")
+        assert cli.main(["classify", str(path), "--d-b", "1"]) == cli.EXIT_PARSE
+        assert capsys.readouterr().err == "parse error: kraus op: dimension 0 is below 1\n"
 
     def test_tolerances_are_checked_before_any_scan(self, tmp_path, capsys):
         # 1 would call the probabilistic Hadamard's 0.4 deviation "commuting"

@@ -337,14 +337,6 @@ class TestXlogx:
         assert np.shape(got) == np.shape(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
-    @pytest.mark.parametrize("fill", [0.25, 0.0], ids=["positive", "with-zero"])
-    def test_out_receives_the_result(self, fill):
-        x = np.random.default_rng(4).random((4, 8))
-        x[1, 2] = fill
-        out = np.full_like(x, np.nan)
-        assert la.xlogx(x, out=out) is out
-        assert out.tobytes() == _masked_xlogx(x).tobytes()
-
 
 def _two_by_two_reference(blocks):
     """Ascending spectra of Hermitian 2x2 blocks (..., k, 2, 2) in extended precision."""

@@ -466,6 +466,11 @@ class TestSerialization:
         with pytest.raises(ParseError):
             st.state_from_text("1 0 0 0\n")
 
+    @pytest.mark.parametrize("header", ["dims -1 2", "dims 0 2", "dims -1 -2", "dims 2 0"])
+    def test_dimension_below_1_is_rejected_before_any_row(self, header):
+        with pytest.raises(ParseError, match=f"bad dims header '{header}'"):
+            st.state_from_text(header + "\n0.5 0 0 0\n0 0 0.5 0\n")
+
     def test_wrong_field_count(self):
         with pytest.raises(ParseError):
             st.state_from_text("dims 2 2\n1 0\n")
