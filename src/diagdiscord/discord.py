@@ -35,8 +35,10 @@ from .states import (
     BipartiteState,
     MultipartiteState,
     _dephasing_factor,
+    _factor_blocks_a,
     blocks_a,
     from_blocks_a,
+    from_pairs_a,
     ptrace_a,
     ptrace_b,
 )
@@ -86,7 +88,8 @@ def dephase_a(rho: np.ndarray, d_a: int, d_b: int, basis: np.ndarray) -> np.ndar
 
     A stack of bases gives one per row of rho, or many for one matrix.
     """
-    return from_blocks_a(basis, blocks_a(rho, d_a, d_b, basis))
+    c, pairs = _factor_blocks_a(rho, d_a, d_b, basis)
+    return from_pairs_a(c @ pairs, d_a, d_b)
 
 
 def _angle_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -282,8 +285,9 @@ def generalized_discord(
 ) -> float:
     """Schatten p-distance ||rho - pi_A(rho)||_p, one per row of a stack.
 
-    p >= 1 or inf: p = 1 is contractive, p = 2 (Frobenius) is not
-    (Piani, PRA 86, 034101 (2012)). p is checked before the marginal, so a bad p raises InvalidP
+    The difference is Hermitian; ``schatten_norm`` takes it from |eigvalsh|. p >= 1
+    or inf: p = 1 is contractive, p = 2 (Frobenius) is not (Piani, PRA 86, 034101
+    (2012)). p is checked before the marginal, so a bad p raises InvalidP
     even on a degenerate state. In degenerate-optimizing mode the distance
     itself is minimized over the eigenbases of the degenerate blocks by
     column-pair passes. At p = 1 and p = inf a block of 3+ columns raises

@@ -305,14 +305,17 @@ def check_schatten_p(p) -> None:
 
 
 def schatten_norm(m, p):
-    """Schatten p-norm (sum_i sigma_i^p)^(1/p); p=inf is the operator norm.
+    """Schatten p-norm (sum_i sigma_i^p)^(1/p) of a Hermitian matrix; p=inf is the operator norm.
 
-    A stack (..., d, d) gives one norm per row, each equal to the norm of
-    that matrix alone, bit for bit; a single matrix gives a float.
+    The singular values are |eigvalsh| of the Hermitian part, with no SVD; a
+    non-finite or non-Hermitian row raises NotHermitian. A stack (..., d, d)
+    gives one norm per row, each equal to the norm of that matrix alone, bit
+    for bit; a single matrix gives a float.
     """
     check_schatten_p(p)
     m = np.asarray(m, dtype=complex)
-    sing = np.linalg.svd(m, compute_uv=False)
+    _check_hermitian(m, "matrix", NotHermitian)
+    sing = np.abs(np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0))
     top = sing.max(axis=-1, initial=0.0)
     if p == math.inf:
         norm = top
@@ -338,5 +341,5 @@ def kron(a, b) -> np.ndarray:
 
 
 def trace_norm(m):
-    """Schatten-1 norm, of each row of a stack (..., d, d)."""
+    """Schatten-1 norm of a Hermitian matrix, of each row of a stack (..., d, d): sum |eigvalsh|."""
     return schatten_norm(m, 1.0)

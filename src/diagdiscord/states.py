@@ -39,25 +39,14 @@ _SQRT3 = math.sqrt(3.0)
 _SQRT6 = math.sqrt(6.0)
 
 
-def _sym(j: int, k: int) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    m[j, k] = m[k, j] = 1.0
-    return m
-
-
-def _antisym(j: int, k: int) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    m[j, k] = -1.0j
-    m[k, j] = 1.0j
-    return m
-
-
 def _build_su4_generators() -> tuple[np.ndarray, ...]:
     """Generalized Gell-Mann matrices: for k = 1..3, sym/antisym (j, k) for j < k, then diag."""
     gens = []
     for k in range(1, 4):
         for j in range(k):
-            gens += [_sym(j, k), _antisym(j, k)]
+            for upper, lower in ((1.0, 1.0), (-1.0j, 1.0j)):  # sym, then antisym
+                gens.append(np.zeros((4, 4), dtype=complex))
+                gens[-1][j, k], gens[-1][k, j] = upper, lower
         diag = np.diag([1.0] * k + [-k] + [0.0] * (3 - k)).astype(complex)
         gens.append(diag / math.sqrt(k * (k + 1) / 2))
     for g in gens:
@@ -260,17 +249,20 @@ def _dephasing_factor(basis: np.ndarray) -> np.ndarray:
     return cols.reshape(cols.shape[:-3] + (d * d, cols.shape[-1]))
 
 
-def blocks_a(rho: np.ndarray, d_a: int, d_b: int, basis: np.ndarray) -> np.ndarray:
-    """Conditional blocks <v_i| rho |v_i> for the basis columns v_i, shape (..., k, d_b, d_b).
-
-    They are C^dag ``pairs_a(rho)`` for C = ``_dephasing_factor(basis)``.
-    """
+def _factor_blocks_a(rho: np.ndarray, d_a: int, d_b: int, basis: np.ndarray):
+    """(C, C^dag ``pairs_a(rho)``) for C = ``_dephasing_factor(basis)``: the blocks as rows (..., k, d_b^2)."""
     if basis.shape[-2] != d_a or rho.shape[-2:] != (d_a * d_b, d_a * d_b):
         raise DimensionMismatch(
             f"basis {basis.shape[-2:]} and matrix {rho.shape[-2:]} do not "
             f"fit (d_A, d_B) = ({d_a}, {d_b})"
         )
-    blocks = _dephasing_factor(basis).conj().swapaxes(-1, -2) @ pairs_a(rho, d_a, d_b)
+    c = _dephasing_factor(basis)
+    return c, c.conj().swapaxes(-1, -2) @ pairs_a(rho, d_a, d_b)
+
+
+def blocks_a(rho: np.ndarray, d_a: int, d_b: int, basis: np.ndarray) -> np.ndarray:
+    """Conditional blocks <v_i| rho |v_i> for the basis columns v_i, shape (..., k, d_b, d_b)."""
+    blocks = _factor_blocks_a(rho, d_a, d_b, basis)[1]
     return blocks.reshape(blocks.shape[:-1] + (d_b, d_b))
 
 

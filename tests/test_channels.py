@@ -344,6 +344,22 @@ class TestSuperoperators:
             ):
                 assert np.max(np.abs(got - reference_dephase_a(rho, d_a, d_b, basis))) <= 1e-14
 
+    def test_dephase_a_builds_its_factor_once(self, monkeypatch):
+        rng = np.random.default_rng(98)
+        rhos = np.stack([random_density(rng, 6) for _ in range(4)])
+        bases = np.stack([haar(rng, 3) for _ in range(4)])
+        built = []
+        factor = st._dephasing_factor
+        monkeypatch.setattr(
+            st, "_dephasing_factor", lambda basis: (built.append(1), factor(basis))[1]
+        )
+        for basis in (bases, bases[0]):  # one basis per row, one for all
+            want = st.from_blocks_a(basis, st.blocks_a(rhos, 3, 2, basis))
+            built.clear()
+            got = dd.dephase_a(rhos, 3, 2, basis)
+            assert len(built) == 1
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("n", [1, 2, 40])
     @pytest.mark.parametrize("d_a, d_b", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 3)])
     def test_rows_equal_single_calls_bit_for_bit(self, n, d_a, d_b):

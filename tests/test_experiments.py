@@ -303,6 +303,20 @@ class TestClassification:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
+    def test_no_svd_is_taken(self, monkeypatch):
+        # every norm the package takes is of a Hermitian matrix, from eigvalsh
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        rec = ex.run_channel_classification(3, per_class=1, trials=4, seed=18)
+        assert rec.rows.shape[0] == 4
+        state = BipartiteState(random_density(np.random.default_rng(18), 6), 2, 3)
+        for p in (1.0, 2.0, math.inf):
+            assert dd.generalized_discord(state, p) > 0.0
+        rec = ex.run_continuity_check(2, 2, samples=3, eps_list=[1e-3], seed=18)
+        assert rec.summary["min_schatten_slack"] >= 0.0
+
     def test_summary_recomputable(self):
         rec = ex.run_channel_classification(2, per_class=1, trials=5, seed=17)
         derived = ex.recompute_row_summary(rec)

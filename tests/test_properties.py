@@ -198,7 +198,7 @@ def test_stacked_kernels_equal_their_single_matrix_calls(seed, shape):
         ch.random_semiclassical(rng, d_a),
     )
     lifts = [c.lift_a(rhos, d_a, d_b) for c in channels]
-    # non-Hermitian differences and one zero matrix, whose norms are 0
+    # Hermitian differences that are not PSD, and one zero matrix, whose norms are 0
     mats = np.concatenate([rhos - conjugated, np.zeros_like(rhos[:1])])
     norms = {p: la.schatten_norm(mats, p) for p in (1, 1.5, 2, math.inf)}
     trace_norms = la.trace_norm(mats)
