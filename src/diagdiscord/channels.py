@@ -269,9 +269,10 @@ def qubit_mu_commuting_condition(channel: QuantumChannel, basis: np.ndarray) -> 
     if dec.degenerate:
         # maximally mixed output: every basis is a common eigenbasis, so the
         # violation over all admissible choices is the operator norm of
-        # a = E(|psi><psi_bar|) (max_eta |<eta|a|eta>| vanishes iff a = 0)
+        # a = E(|psi><psi_bar|) (max_eta |<eta|a|eta>| vanishes iff a = 0),
+        # the root of a^dag a's top eigenvalue
         if np.max(np.abs(out - np.eye(2) / 2.0)) <= 1e-10:
-            return float(np.linalg.norm(a, 2))
+            return math.sqrt(max(float(np.linalg.eigvalsh(a.conj().T @ a)[-1]), 0.0))
         raise DegenerateOutput(
             f"E(|psi><psi|) is degenerate (gap {dec.min_gap:.3e}); "
             "common eigenbasis is ill-defined"

@@ -337,9 +337,9 @@ def pi_multi(state: MultipartiteState, parties) -> MultipartiteState:
                 blocks=dec.degenerate_blocks,
                 party=k,
             )
-        blocks = blocks_a(front, d_k, rest, dec.eigenvectors)
-        front = from_blocks_a(dec.eigenvectors, blocks)
-        spectrum = block_spectrum(blocks)
+        c, pairs = _factor_blocks_a(front, d_k, rest, dec.eigenvectors)
+        front = from_pairs_a(c @ pairs, d_k, rest)
+        spectrum = block_spectrum(pairs.reshape(pairs.shape[:-1] + (rest, rest)))
         permuted = tuple(dims[j] for j in order) * 2
         rho = front.reshape(permuted).transpose(np.argsort(axes)).reshape(size, size)
     rho = (rho + rho.conj().T) / 2.0

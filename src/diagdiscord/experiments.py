@@ -261,19 +261,26 @@ def _summarize_continuity(rows: np.ndarray, inputs: dict) -> dict:
     }
 
 
-_CLASS_NAMES = {0: "mu", 1: "iso_u", 2: "iso_a", 3: "sc", 4: "injected_hadamard"}
-#: classes whose lift to AB is completely positive, where monotonicity is tracked
-_MONO_CLASSES = (0, 1, 3, 4)
+#: code -> (summary name, sampler (rng, d_A) -> channel, tracked): the discord
+#: increase is tracked for the classes whose lift to AB is completely positive
+_CLASSES = {
+    0: ("mu", ch.random_mixed_unitary, True),
+    1: ("iso_u", lambda rng, d_a: ch.random_isotropic(rng, d_a, antiunitary=False), True),
+    2: ("iso_a", lambda rng, d_a: ch.random_isotropic(rng, d_a, antiunitary=True), False),
+    3: ("sc", ch.random_semiclassical, True),
+    4: ("injected_hadamard", lambda rng, d_a: ch.probabilistic_hadamard(), True),
+}
+#: the qubit counterexample, one row ahead of the random classes at d_A = 2
+_INJECTED = 4
 
 
 def _summarize_classification(rows: np.ndarray, inputs: dict) -> dict:
     out: dict = {}
     codes = rows[:, 0].astype(int)
-    for code in sorted(_CLASS_NAMES):
+    for code, (name, _, tracked) in sorted(_CLASSES.items()):
         mask = codes == code
         if not mask.any():
             continue
-        name = _CLASS_NAMES[code]
         commute = rows[mask, 1]
         nongen = rows[mask, 2]
         out[f"{name}_count"] = float(mask.sum())
@@ -281,7 +288,7 @@ def _summarize_classification(rows: np.ndarray, inputs: dict) -> dict:
         out[f"{name}_noncommuting"] = float((commute >= ch.VIOLATION_TOL).sum())
         out[f"{name}_nongenerating"] = float((nongen <= ch.COMMUTE_TOL).sum())
         out[f"{name}_generating"] = float((nongen >= ch.VIOLATION_TOL).sum())
-        if code in _MONO_CLASSES:
+        if tracked:
             mono = rows[mask, 3]
             mono = mono[~np.isnan(mono)]
             if len(mono):
@@ -313,6 +320,16 @@ def _finalize(record: ExperimentRecord, counters: dict) -> ExperimentRecord:
 
 # --- experiment runners -------------------------------------------------------------
 
+def _discord_change(channel, states: BipartiteState):
+    """Diagonal discord before and after the channel on A, and the outputs' degenerate flags.
+
+    Both are ``pi_a`` values, with every degenerate marginal optimized.
+    """
+    before = pi_a(states, optimize_degenerate=True).value
+    after = pi_a(channel.apply_local_a(states), optimize_degenerate=True)
+    return before, after.value, after.degenerate
+
+
 def run_monotonicity(
     channel_spec,
     samples: int,
@@ -322,12 +339,12 @@ def run_monotonicity(
     """Diagonal discord before vs after a local qubit channel on random states.
 
     Sample i draws one ``ginibre`` call's normals into its row of a buffer,
-    from its own generator ``sample_rng(seed, i)``, made by one ``sample_rngs``
-    call per stack; a sample whose first draw has a degenerate A-marginal is
-    drawn again by ``sample_nondegenerate`` from a fresh copy of that
-    generator, which rejects the same first draw. The states then go
-    through ``pi_a`` and the channel as stacks of up to MONO_STACK rows; a
-    channel output with a degenerate marginal is optimized row by row.
+    from its own generator, that of ``(seed, i)``, made by one ``sample_rngs``
+    call per stack; a sample whose first draw has a degenerate A-marginal
+    goes on drawing from that generator through ``sample_nondegenerate``,
+    and the first draw counts as one rejection. The states then go through
+    ``_discord_change`` as stacks of up to MONO_STACK rows; a channel output
+    with a degenerate marginal is optimized row by row.
     """
     seed = _check_seed(seed)
     name, channel = resolve_channel(channel_spec)
@@ -338,22 +355,22 @@ def run_monotonicity(
     rank = check_rank(4, rank)
 
     def stack(first: int, stop: int):
+        rngs = sample_rngs(seed, range(first, stop))
         # real, then imaginary parts in one draw: the numbers of two ginibre calls
         z = np.empty((stop - first, 2, 4, rank))
-        for k, rng in enumerate(sample_rngs(seed, range(first, stop))):
+        for k, rng in enumerate(rngs):
             rng.standard_normal(out=z[k])
         rhos = ginibre_density(z[:, 0] + 1j * z[:, 1])
         states = BipartiteState(rhos, 2, 2)
         resampled = np.zeros(stop - first)
         redraw = np.flatnonzero(states.marginal_eig.degenerate)
-        for k in redraw:  # that sample's draws again, one at a time
-            state, resampled[k] = sample_nondegenerate(sample_rng(seed, first + k), 2, 2, rank)
-            rhos[k] = state.rho
+        for k in redraw:  # that sample's generator draws on, one state at a time
+            state, rejected = sample_nondegenerate(rngs[k], 2, 2, rank)
+            rhos[k], resampled[k] = state.rho, rejected + 1
         if len(redraw):
             states = BipartiteState(rhos, 2, 2)
-        after = pi_a(channel.apply_local_a(states), optimize_degenerate=True)
-        rows = np.stack([pi_a(states).value, after.value], axis=-1)
-        return rows, resampled, after.degenerate
+        before, after, degenerate = _discord_change(channel, states)
+        return np.stack([before, after], axis=-1), resampled, degenerate
 
     rows, resampled, degenerate = (
         np.concatenate(parts)
@@ -388,14 +405,14 @@ def run_xstate_comparison(
 ) -> ExperimentRecord:
     """Optimized vs diagonal discord over random symmetric two-qubit X-states.
 
-    Sample i draws its parameters from its own generator ``sample_rng(seed, i)``;
+    Sample i draws its parameters from its own generator, that of ``(seed, i)``;
     the generators are made by one ``sample_rngs`` call, and
     ``sample_x_params`` tests their candidates as one stack. The X-states are
     built, validated and dephased as one stack, whose optimized discord
     (``optimized_discord_2q``) comes as one array. A sample whose first draw
-    has a degenerate A-marginal is drawn again from a fresh
-    ``sample_rng(seed, i)``, which rejects the same first draw and goes on
-    until a marginal is nondegenerate, within XSTATE_DEGENERATE_BUDGET draws.
+    has a degenerate A-marginal goes on drawing from its generator until a
+    marginal is nondegenerate, within XSTATE_DEGENERATE_BUDGET draws, the
+    first one included.
     """
     seed = _check_seed(seed)
     if samples < 1:
@@ -404,9 +421,8 @@ def run_xstate_comparison(
         raise OutOfRange("equality tolerance must be finite and positive")
 
     def redraw(i: int):
-        rng = sample_rng(seed, i)
-        for excluded in range(XSTATE_DEGENERATE_BUDGET):
-            params = sample_x_params(rng).as_row()
+        for excluded in range(1, XSTATE_DEGENERATE_BUDGET):
+            params = sample_x_params(rngs[i]).as_row()
             if not x_state_from_params(params).marginal_eig.degenerate:
                 return params, excluded
         raise OutOfDomain(
@@ -414,7 +430,8 @@ def run_xstate_comparison(
             "a nondegenerate A-marginal; 1 of 10^6 X-states has a degenerate one"
         )
 
-    params = sample_x_params(sample_rngs(seed, range(samples)))
+    rngs = sample_rngs(seed, range(samples))
+    params = sample_x_params(rngs)
     states = x_state_from_params(params)
     excluded = np.zeros(samples)
     redrawn = np.flatnonzero(states.marginal_eig.degenerate)
@@ -471,7 +488,8 @@ def run_continuity_check(
 
     For each base state and eps, draws a random traceless Hermitian
     direction T with unit trace norm and perturbs rho by eps T, rejecting
-    directions that leave the state cone or halve the marginal gap.
+    directions that leave the state cone or halve the marginal gap, and
+    base states whose marginal is degenerate or outside the bound's domain.
     """
     seed = _check_seed(seed)
     eps_list = [float(e) for e in eps_list]
@@ -491,16 +509,13 @@ def run_continuity_check(
         return 0.5 * (2.0 * c / gap + 1.0) * eps_max <= 1.0
 
     def one(rng):
-        resampled_base = 0
         largest_gap = 0.0
-        for _ in range(CONTINUITY_BASE_BUDGET):
-            state, extra = sample_nondegenerate(rng, d_a, d_b, d)
-            resampled_base += extra
+        for resampled_base in range(CONTINUITY_BASE_BUDGET):
+            state = sample_random_bipartite(rng, d_a, d_b, d)
             gap = state.marginal_eig.min_gap
-            if _domain_ok(gap):
+            if not state.marginal_eig.degenerate and _domain_ok(gap):
                 break
             largest_gap = max(largest_gap, gap)
-            resampled_base += 1
         else:
             raise OutOfDomain(
                 f"0 of {CONTINUITY_BASE_BUDGET} sampled ({d_a},{d_b}) states "
@@ -583,18 +598,6 @@ def run_continuity_check(
     return _finalize(record, counters)
 
 
-def _mono_max_increase(channel, trials: int, rng, d_b: int = 2) -> float:
-    """Largest diagonal-discord increase by the channel over ``trials`` random states.
-
-    The states are drawn as one stack, and ``pi_a`` optimizes the eigenbasis
-    of every degenerate marginal, before and after the channel.
-    """
-    states = sample_random_bipartite(rng, channel.dim, d_b, channel.dim * d_b, size=trials)
-    before = pi_a(states, optimize_degenerate=True).value
-    after = pi_a(channel.apply_local_a(states), optimize_degenerate=True).value
-    return float((after - before).max())
-
-
 def run_channel_classification(
     d_a: int,
     per_class: int,
@@ -614,30 +617,20 @@ def run_channel_classification(
     if per_class < 1 or trials < 1:
         raise OutOfRange("per_class and trials must be >= 1")
 
-    samplers = {
-        0: lambda rng: ch.random_mixed_unitary(rng, d_a),
-        1: lambda rng: ch.random_isotropic(rng, d_a, antiunitary=False),
-        2: lambda rng: ch.random_isotropic(rng, d_a, antiunitary=True),
-        3: lambda rng: ch.random_semiclassical(rng, d_a),
-    }
-    jobs: list[tuple[int, int]] = []
-    if d_a == 2:
-        jobs.append((4, 0))
-    for code in sorted(samplers):
-        jobs.extend((code, j) for j in range(per_class))
+    jobs = [(_INJECTED, 0)] if d_a == 2 else []
+    jobs += [(code, j) for code in _CLASSES if code != _INJECTED for j in range(per_class)]
 
     rows = []
     for (code, _), rng in zip(jobs, sample_rngs(seed, jobs)):
-        channel = (
-            ch.probabilistic_hadamard() if code == 4 else samplers[code](rng)
-        )
+        _, sampler, tracked = _CLASSES[code]
+        channel = sampler(rng, d_a)
         rep_c = ch.commutes_with_pi(channel, trials, rng)
         rep_g = ch.is_discord_nongenerating(channel, trials, rng)
-        mono = (
-            _mono_max_increase(channel, trials, rng)
-            if code in _MONO_CLASSES
-            else math.nan
-        )
+        mono = math.nan
+        if tracked:
+            states = sample_random_bipartite(rng, d_a, 2, 2 * d_a, size=trials)
+            before, after, _ = _discord_change(channel, states)
+            mono = float((after - before).max())
         rows.append((code, rep_c.max_deviation, rep_g.max_deviation, mono))
 
     record = ExperimentRecord(

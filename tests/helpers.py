@@ -392,6 +392,31 @@ def reference_monotonicity(channel, samples, seed, rank=4):
     return np.array(rows), resampled, degenerate
 
 
+def reference_continuity_base(d_a, d_b, samples, eps, seed):
+    """(gaps, degenerate, out_of_domain) of run_continuity_check's base states at one eps.
+
+    Each sample's base state is drawn by the nested loop: ``sample_nondegenerate``
+    rejects the draws with a degenerate marginal, then a state whose gap puts
+    eps outside the bound's domain is drawn again. ``gaps`` holds each
+    accepted state's marginal gap; the counts are of the two kinds of rejection.
+    """
+    from diagdiscord import experiments as ex
+    from diagdiscord.states import sample_nondegenerate
+
+    c = math.sqrt(2.0 * d_a**3 * d_b**3)
+    gaps, degenerate, out_of_domain = [], 0, 0
+    for rng in ex.sample_rngs(seed, range(samples)):
+        while True:
+            state, rejected = sample_nondegenerate(rng, d_a, d_b, d_a * d_b)
+            degenerate += rejected
+            gap = state.marginal_eig.min_gap
+            if 0.5 * (2.0 * c / gap + 1.0) * eps <= 1.0:
+                break
+            out_of_domain += 1
+        gaps.append(gap)
+    return np.array(gaps), degenerate, out_of_domain
+
+
 def reference_xstate_comparison(samples, seed):
     """experiments.run_xstate_comparison, one X-state per call.
 
@@ -495,7 +520,7 @@ def reference_is_discord_nongenerating(channel, trials, rng, d_b=2):
 
 
 def reference_mono_max_increase(channel, trials, rng, d_b=2):
-    """experiments._mono_max_increase, one state at a time.
+    """The classify sweep's largest discord increase by the channel, one state at a time.
 
     ``pi_a`` is read from ``experiments`` at call time, so a patched one
     acts on the reference and the package alike.

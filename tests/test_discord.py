@@ -17,6 +17,7 @@ from diagdiscord.errors import (
 from diagdiscord.linalg import (
     EIG_FLOOR_TOL,
     block_spectrum,
+    hermitian_eig,
     relative_entropy,
     schatten_norm,
     spectrum_entropy,
@@ -475,6 +476,35 @@ class TestPiMulti:
         assert np.max(np.abs(
             np.einsum("abcabd->cd", t_in) - np.einsum("abcabd->cd", t_out)
         )) <= 1e-10
+
+    def test_one_dephasing_factor_per_party(self, monkeypatch):
+        # C is built once per party, and the output is bit for bit that of
+        # blocks_a then from_blocks_a, which build it twice
+        builds = []
+        factor = st._dephasing_factor
+        monkeypatch.setattr(
+            st, "_dephasing_factor", lambda basis: (builds.append(1), factor(basis))[1]
+        )
+        rng = np.random.default_rng(16)
+        s = st.MultipartiteState(random_density(rng, 12), (2, 3, 2))
+        for parties in ([1], [0, 2], [0, 1, 2]):
+            builds.clear()
+            got = dd.pi_multi(s, parties)
+            assert len(builds) == len(parties)
+            rho, dims, spectrum = s.rho, s.dims, None
+            for k in parties:
+                order = [k, *(j for j in range(3) if j != k)]
+                axes = order + [3 + j for j in order]
+                front = rho.reshape(dims * 2).transpose(axes).reshape(12, 12)
+                d_k = dims[k]
+                basis = hermitian_eig(st.ptrace_b(front, d_k, 12 // d_k)).eigenvectors
+                blocks = blocks_a(front, d_k, 12 // d_k, basis)
+                front = st.from_blocks_a(basis, blocks)
+                spectrum = block_spectrum(blocks)
+                permuted = tuple(dims[j] for j in order) * 2
+                rho = front.reshape(permuted).transpose(np.argsort(axes)).reshape(12, 12)
+            assert got.rho.tobytes() == ((rho + rho.conj().T) / 2.0).tobytes()
+            assert got.spectrum.tobytes() == spectrum.tobytes()
 
     def test_degenerate_party_reported(self):
         s = st.MultipartiteState(bell_state().rho, (2, 2))

@@ -8,9 +8,10 @@ from diagdiscord import discord as dd
 from diagdiscord import experiments as ex
 from diagdiscord import linalg as la
 from diagdiscord.errors import DegenerateMarginal, InvalidRank, OutOfDomain, OutOfRange
-from diagdiscord.states import BipartiteState
+from diagdiscord.states import BipartiteState, sample_random_bipartite
 from helpers import (
     random_density,
+    reference_continuity_base,
     reference_mono_max_increase,
     reference_monotonicity,
     reference_xstate_comparison,
@@ -86,8 +87,10 @@ class TestMonotonicity:
                 _MixedFirstDraw(rng) if np.ravel(key)[0] in (2, 5) else rng
                 for key, rng in zip(keys, sample_rngs(seed, keys))
             ])
-        rec = ex.run_monotonicity(channel, samples=8, seed=22)
         rows, resampled, degenerate = reference_monotonicity(channel, 8, 22)
+        # a redrawn sample draws on from its own generator, never a new one
+        monkeypatch.setattr(ex, "sample_rng", None)
+        rec = ex.run_monotonicity(channel, samples=8, seed=22)
         assert np.max(np.abs(rec.rows - rows)) <= 1e-14
         assert rec.summary["resampled_degenerate"] == resampled
         assert rec.summary["degenerate_outputs"] == degenerate
@@ -202,17 +205,20 @@ class TestXStateComparison:
         # at this tolerance some X-state marginals count as degenerate, so
         # their samples are drawn again, some more than once
         monkeypatch.setattr(la, "DEGENERACY_TOL", 0.1)
-        rec = ex.run_xstate_comparison(samples=40, seed=27)
         rows, excluded = reference_xstate_comparison(40, 27)
+        # a redrawn sample draws on from its own generator, never a new one
+        monkeypatch.setattr(ex, "sample_rng", None)
+        rec = ex.run_xstate_comparison(samples=40, seed=27)
         assert rec.rows.tobytes() == rows.tobytes()
         assert rec.summary["excluded_degenerate"] == excluded > 1
 
     def test_exhausted_budget_equals_the_per_sample_path(self, monkeypatch):
         monkeypatch.setattr(la, "DEGENERACY_TOL", 2.0)  # every marginal gap is below 1
-        with pytest.raises(OutOfDomain, match="sample 0 have a nondegenerate") as got:
-            ex.run_xstate_comparison(samples=3, seed=28)
         with pytest.raises(OutOfDomain) as want:
             reference_xstate_comparison(3, 28)
+        monkeypatch.setattr(ex, "sample_rng", None)
+        with pytest.raises(OutOfDomain, match="sample 0 have a nondegenerate") as got:
+            ex.run_xstate_comparison(samples=3, seed=28)
         assert str(got.value) == str(want.value)
 
     def test_eigensolver_calls_do_not_grow_with_samples(self, monkeypatch):
@@ -259,6 +265,18 @@ class TestContinuity:
         b = ex.run_continuity_check(2, 2, samples=10, eps_list=[1e-3], seed=13)
         assert np.array_equal(a.rows, b.rows)
 
+    # at this tolerance some base draws have a degenerate marginal (gap below
+    # 0.2); at eps = 1e-2 their gaps lie inside the bound's domain (above
+    # 0.114), at eps = 3e-2 some other draws' gaps lie outside it (below 0.345)
+    @pytest.mark.parametrize("eps, rejected", [(1e-2, (4, 0)), (3e-2, (4, 5))])
+    def test_rejected_base_states_equal_the_nested_loop(self, eps, rejected, monkeypatch):
+        monkeypatch.setattr(la, "DEGENERACY_TOL", 0.2)
+        rec = ex.run_continuity_check(2, 2, samples=20, eps_list=[eps], seed=30)
+        gaps, degenerate, out_of_domain = reference_continuity_base(2, 2, 20, eps, 30)
+        assert rec.rows[:, 1].tobytes() == gaps.tobytes()
+        assert rec.summary["resampled_base"] == degenerate + out_of_domain
+        assert (degenerate, out_of_domain) == rejected
+
 
 class TestClassification:
     def test_qutrit_structure(self):
@@ -304,11 +322,13 @@ class TestClassification:
         assert counts[0] == counts[1]
 
     def test_no_svd_is_taken(self, monkeypatch):
-        # every norm the package takes is of a Hermitian matrix, from eigvalsh
+        # every norm the package takes is of a Hermitian matrix, from eigvalsh;
+        # np.linalg.norm(a, 2) calls the svd of numpy.linalg._linalg
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg.svd called")
 
         monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(np.linalg._linalg, "svd", refuse)
         rec = ex.run_channel_classification(3, per_class=1, trials=4, seed=18)
         assert rec.rows.shape[0] == 4
         state = BipartiteState(random_density(np.random.default_rng(18), 6), 2, 3)
@@ -316,6 +336,28 @@ class TestClassification:
             assert dd.generalized_discord(state, p) > 0.0
         rec = ex.run_continuity_check(2, 2, samples=3, eps_list=[1e-3], seed=18)
         assert rec.summary["min_schatten_slack"] >= 0.0
+        # E(|0><0|) = I/2: the operator norm of E(|0><1|) = X/2
+        pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        channel = ch.MixedUnitaryChannel(
+            np.array([0.5, 0.5]), (np.eye(2, dtype=complex), pauli_x)
+        )
+        got = ch.qubit_mu_commuting_condition(channel, np.eye(2))
+        assert abs(got - 0.5) <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("d_a", [2, 3])
+    def test_summary_names_every_class(self, d_a):
+        conditions = ["count", "commuting", "noncommuting", "nongenerating", "generating"]
+        mono = ["mono_max_increase", "mono_violations"]
+        classes = [("mu", True), ("iso_u", True), ("iso_a", False), ("sc", True)]
+        if d_a == 2:
+            classes.append(("injected_hadamard", True))
+        want = [
+            f"{name}_{key}"
+            for name, tracked in classes
+            for key in conditions + (mono if tracked else [])
+        ]
+        rec = ex.run_channel_classification(d_a, per_class=1, trials=3, seed=31)
+        assert list(rec.summary) == want
 
     def test_summary_recomputable(self):
         rec = ex.run_channel_classification(2, per_class=1, trials=5, seed=17)
@@ -324,10 +366,18 @@ class TestClassification:
             assert rec.summary[key] == value
 
 
+def _sweep_mono(channel, trials, rng, d_b):
+    """The classify sweep's discord-increase scan: one stack through _discord_change."""
+    d_a = channel.dim
+    states = sample_random_bipartite(rng, d_a, d_b, d_a * d_b, size=trials)
+    before, after, _ = ex._discord_change(channel, states)
+    return float((after - before).max())
+
+
 def _same_mono(channel, trials, seed, d_b):
-    """_mono_max_increase and its one-state-at-a-time reference agree bit for bit."""
+    """The sweep's scan and its one-state-at-a-time reference agree bit for bit."""
     rng, twin = np.random.default_rng([seed, 2]), np.random.default_rng([seed, 2])
-    got = ex._mono_max_increase(channel, trials, rng, d_b)
+    got = _sweep_mono(channel, trials, rng, d_b)
     assert got == reference_mono_max_increase(channel, trials, twin, d_b)
     assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -387,7 +437,7 @@ class TestMonoMaxIncrease:
         )
         channel = ch.random_isotropic(np.random.default_rng(50), 3, gamma=0.9)
         rng, twin = np.random.default_rng([50, 2]), np.random.default_rng([50, 2])
-        got = ex._mono_max_increase(channel, 8, rng, 1)
+        got = _sweep_mono(channel, 8, rng, 1)
         stacked = len(calls)
         calls.clear()
         assert got == reference_mono_max_increase(channel, 8, twin, 1)
